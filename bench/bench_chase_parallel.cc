@@ -187,7 +187,7 @@ void BM_MatcherTriangleJoin(benchmark::State& state) {
   Matcher matcher(&ws.arena, &inst, atoms);
   for (auto _ : state) {
     size_t count =
-        matcher.ForEach({}, [](const Assignment&) { return true; });
+        matcher.ForEach({}, [](std::span<const Value>) { return true; });
     benchmark::DoNotOptimize(count);
   }
 }

@@ -69,7 +69,7 @@ void BM_TriangleMatcher(benchmark::State& state) {
   Matcher matcher(&ws.arena, &inst, triangle);
   for (auto _ : state) {
     size_t count =
-        matcher.ForEach({}, [](const Assignment&) { return true; });
+        matcher.ForEach({}, [](std::span<const Value>) { return true; });
     benchmark::DoNotOptimize(count);
   }
 }

@@ -74,31 +74,30 @@ std::function<bool()> MakePeriodicCheck(const ChaseLimits& limits,
 /// (full evaluation) or of one pivot's delta rows (semi-naive), or a
 /// whole un-shardable search (query with no atoms).
 struct MatchSlice {
-  size_t part = 0;  // rule part / tgd index
-  bool whole_search = false;
-  bool delta = false;
-  size_t pivot = 0;
+  uint32_t part = 0;  // rule part / tgd index
+  int root_atom = -1;  // -1: whole search
+  bool delta = false;  // rows [begin, end) are row ids, not candidate indexes
+  size_t window = 0;   // semi-naive: index of the pivot's row windows
   size_t begin = 0;
   size_t end = 0;
 };
 
-/// Per-slice output slot: the matched assignments in enumeration order
-/// plus the staged step count (matcher probes, and for delta slices one
-/// step per delta row scanned — the serial engine's historical
-/// accounting). Charged to the governor at merge time.
+/// Per-slice output slot: the matched body rows in enumeration order,
+/// flat (`matches` rows of one value per body slot), plus the staged step
+/// count (matcher probes, and for delta slices one step per delta row
+/// scanned — the serial engine's historical accounting). Charged to the
+/// governor at merge time.
 struct SliceResult {
-  std::vector<Assignment> matches;
+  std::vector<Value> values;
+  size_t matches = 0;
   uint64_t steps = 0;
 };
 
 /// Appends `slices` entries covering [begin, end) in kSliceRows chunks.
-void PushRowSlices(size_t part, bool delta, size_t pivot, size_t begin,
-                   size_t end, std::vector<MatchSlice>* slices) {
+void PushRowSlices(const MatchSlice& proto, size_t begin, size_t end,
+                   std::vector<MatchSlice>* slices) {
   for (size_t b = begin; b < end; b += kSliceRows) {
-    MatchSlice s;
-    s.part = part;
-    s.delta = delta;
-    s.pivot = pivot;
+    MatchSlice s = proto;
     s.begin = b;
     s.end = std::min(end, b + kSliceRows);
     slices->push_back(s);
@@ -106,62 +105,49 @@ void PushRowSlices(size_t part, bool delta, size_t pivot, size_t begin,
 }
 
 /// Stages one slice: read-only matching against the round-frozen instance
-/// into `out`. `head_filter` (restricted chase) drops assignments whose
-/// head already holds; `pivot_atom` must be set for delta slices. Runs
+/// into `out`, under the row windows `window` (empty = none). `keep`
+/// (restricted chase) drops matches whose head already holds. Runs
 /// concurrently with itself on other slices — everything it touches is
 /// immutable, per-slice, or atomic.
 void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
-              const TermArena& arena, const Instance& instance,
-              const Atom* pivot_atom, const Matcher* head_filter,
-              const MatchSlice& slice, const std::function<bool()>& periodic,
-              const StageAbort& abort, SliceResult* out) {
+              const MatchSlice& slice, std::span<const uint32_t> window,
+              const Matcher::Callback& keep,
+              const std::function<bool()>& periodic, const StageAbort& abort,
+              SliceResult* out) {
   if (!periodic()) return;
   SearchControls controls;
   controls.probe_counter = &out->steps;
   controls.periodic_check = periodic;
-  std::function<bool(const Assignment&)> emit = [&](const Assignment& a) {
-    if (head_filter == nullptr || !head_filter->Exists(a)) {
-      out->matches.push_back(a);
+  controls.row_limits = window;
+  Matcher::Callback emit = [&](std::span<const Value> row) {
+    if (!keep || keep(row)) {
+      out->values.insert(out->values.end(), row.begin(), row.end());
+      ++out->matches;
     }
     return !abort.Requested();
   };
-  if (slice.whole_search) {
+  if (slice.root_atom < 0) {
     matcher.ForEach({}, emit, controls);
     return;
   }
-  if (!slice.delta) {
-    for (size_t i = slice.begin; i < slice.end; ++i) {
-      matcher.ForEachFromRoot({}, split, split.Row(i), emit, controls);
-      if (abort.Requested()) return;
-    }
-    return;
+  std::vector<uint32_t> rows;
+  rows.reserve(slice.end - slice.begin);
+  for (size_t i = slice.begin; i < slice.end; ++i) {
+    rows.push_back(slice.delta ? static_cast<uint32_t>(i) : split.Row(i));
   }
-  for (size_t row = slice.begin; row < slice.end; ++row) {
-    ++out->steps;  // one step per delta row scanned
-    if (abort.Requested()) return;
-    std::span<const Value> tuple =
-        instance.Tuple(pivot_atom->relation, static_cast<uint32_t>(row));
-    Assignment seed;
-    bool consistent = true;
-    for (size_t i = 0; i < pivot_atom->args.size(); ++i) {
-      TermId t = pivot_atom->args[i];
-      if (arena.IsConstant(t)) {
-        if (Value::Constant(arena.symbol(t)) != tuple[i]) {
-          consistent = false;
-          break;
-        }
-      } else {
-        VariableId v = arena.symbol(t);
-        auto [it, inserted] = seed.emplace(v, tuple[i]);
-        if (!inserted && it->second != tuple[i]) {
-          consistent = false;
-          break;
-        }
-      }
-    }
-    if (!consistent) continue;
-    matcher.ForEach(seed, emit, controls);
+  if (slice.delta) {
+    out->steps += rows.size();  // one step per delta row scanned
+    matcher.ForEachSeededBy(slice.root_atom, rows, emit, controls);
+  } else {
+    matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
   }
+}
+
+/// Row count of `rel` in a per-relation window map (0 when absent).
+size_t RowsIn(const std::unordered_map<RelationId, size_t>& counts,
+              RelationId rel) {
+  auto it = counts.find(rel);
+  return it == counts.end() ? 0 : it->second;
 }
 
 /// Round/fact bookkeeping shared by ChaseEngine and RestrictedChaseTgds:
@@ -199,6 +185,97 @@ class ChaseGuard {
 
 }  // namespace
 
+/// A rule part compiled once per engine. Each head argument is a body
+/// slot, a constant, or a term template; templates (Skolem terms, and
+/// both sides of every equality) are postfix programs over `ops`, so a
+/// trigger touches the TermArena only to build its Skolem terms.
+struct ChaseEngine::CompiledPart {
+  struct Op {
+    enum class Kind : uint8_t { kSlot, kTerm, kApply };
+    Kind kind;
+    uint32_t operand;  // body slot, term id, or function id
+    uint32_t arity;    // kApply: number of arguments on the stack
+  };
+  struct Arg {
+    enum class Kind : uint8_t { kSlot, kConstant, kTemplate };
+    Kind kind;
+    uint32_t slot = 0;
+    Value constant;
+    uint32_t first_op = 0;  // kTemplate: ops[first_op, first_op + num_ops)
+    uint32_t num_ops = 0;
+  };
+
+  CompiledPart(const TermArena& arena, const Instance* instance,
+               const SoPart& part)
+      : matcher(&arena, instance, part.body) {
+    for (const Atom& atom : part.head) {
+      head_relations.push_back(atom.relation);
+      head_arities.push_back(static_cast<uint32_t>(atom.args.size()));
+      for (TermId t : atom.args) {
+        Arg arg;
+        if (arena.IsConstant(t)) {
+          arg.kind = Arg::Kind::kConstant;
+          arg.constant = Value::Constant(arena.symbol(t));
+        } else if (arena.IsVariable(t) &&
+                   matcher.Slot(arena.symbol(t)) >= 0) {
+          arg.kind = Arg::Kind::kSlot;
+          arg.slot = static_cast<uint32_t>(matcher.Slot(arena.symbol(t)));
+        } else {
+          arg = Template(arena, t);
+        }
+        head_args.push_back(arg);
+      }
+    }
+    for (const SoEquality& eq : part.equalities) {
+      equalities.emplace_back(Template(arena, eq.lhs),
+                              Template(arena, eq.rhs));
+    }
+  }
+
+  /// Compiles `t` into ops evaluating it under a body match: bound
+  /// variables read their slot, function terms re-intern their grounded
+  /// arguments, and anything else (a constant, or an unbound variable,
+  /// which stays itself as under Substitution::Apply) is used as it is.
+  Arg Template(const TermArena& arena, TermId t) {
+    Arg arg;
+    arg.kind = Arg::Kind::kTemplate;
+    arg.first_op = static_cast<uint32_t>(ops.size());
+    EmitOps(arena, t);
+    arg.num_ops = static_cast<uint32_t>(ops.size()) - arg.first_op;
+    return arg;
+  }
+
+  void EmitOps(const TermArena& arena, TermId t) {
+    int slot = arena.IsVariable(t) ? matcher.Slot(arena.symbol(t)) : -1;
+    if (slot >= 0) {
+      ops.push_back({Op::Kind::kSlot, static_cast<uint32_t>(slot), 0});
+    } else if (arena.IsFunction(t)) {
+      std::span<const TermId> args = arena.args(t);
+      for (TermId a : args) EmitOps(arena, a);
+      ops.push_back({Op::Kind::kApply, arena.symbol(t),
+                     static_cast<uint32_t>(args.size())});
+    } else {
+      ops.push_back({Op::Kind::kTerm, t, 0});
+    }
+  }
+
+  Matcher matcher;
+  std::vector<Op> ops;
+  std::vector<Arg> head_args;  // every head atom's arguments, in order
+  std::vector<RelationId> head_relations;
+  std::vector<uint32_t> head_arities;
+  std::vector<std::pair<Arg, Arg>> equalities;
+};
+
+ChaseEngine::~ChaseEngine() = default;
+
+void ChaseEngine::CompileRules() {
+  parts_.reserve(rules_.parts.size());
+  for (const SoPart& part : rules_.parts) {
+    parts_.emplace_back(*arena_, &instance_, part);
+  }
+}
+
 ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
                          const SoTgd& rules, const Instance& input,
                          ChaseLimits limits)
@@ -234,6 +311,7 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
   }
   CopyFacts(input, &instance_);
   null_provenance_.assign(instance_.num_nulls(), kInvalidTerm);
+  CompileRules();
 }
 
 void ChaseEngine::InstallSpillPressureHandler() {
@@ -259,6 +337,7 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
   Instance* instance_ptr = &instance_;
   governor_.AddMemorySource(
       [instance_ptr] { return instance_ptr->ApproxBytes(); });
+  CompileRules();
   term_to_value_.insert(state.term_to_value.begin(),
                         state.term_to_value.end());
   null_provenance_ = std::move(state.null_provenance);
@@ -308,9 +387,7 @@ ChaseEngineState ChaseEngine::CaptureState() const {
     state.spill_instance = &instance_;
     if (torn) {
       for (RelationId rel : instance_.ActiveRelations()) {
-        auto it = rows_before_current_round_.find(rel);
-        uint64_t keep =
-            it == rows_before_current_round_.end() ? 0 : it->second;
+        uint64_t keep = RowsIn(rows_before_current_round_, rel);
         state.spill_keep_rows.emplace_back(rel, keep);
         dropped_facts += instance_.NumTuples(rel) - keep;
       }
@@ -330,8 +407,7 @@ ChaseEngineState ChaseEngine::CaptureState() const {
       state.instance.SetNullLabel(i, instance_.NullLabel(i));
     }
     for (RelationId rel : instance_.ActiveRelations()) {
-      auto it = rows_before_current_round_.find(rel);
-      size_t keep = it == rows_before_current_round_.end() ? 0 : it->second;
+      size_t keep = RowsIn(rows_before_current_round_, rel);
       for (size_t row = 0; row < keep; ++row) {
         Fact f;
         f.relation = rel;
@@ -393,7 +469,14 @@ TermId ChaseEngine::NullProvenance(uint32_t null_index) const {
 }
 
 TermId ChaseEngine::ValueToTerm(Value v) {
-  if (v.is_constant()) return arena_->MakeConstant(v.index());
+  if (v.is_constant()) {
+    if (v.index() >= constant_terms_.size()) {
+      constant_terms_.resize(v.index() + 1, kInvalidTerm);
+    }
+    TermId& term = constant_terms_[v.index()];
+    if (term == kInvalidTerm) term = arena_->MakeConstant(v.index());
+    return term;
+  }
   // Input nulls behave like opaque individuals: represent null i as the
   // 0-ary function term @innull<i>().
   TermId provenance = NullProvenance(v.index());
@@ -409,7 +492,6 @@ TermId ChaseEngine::ValueToTerm(Value v) {
 
 Value ChaseEngine::TermToValue(TermId t) {
   if (arena_->IsConstant(t)) return Value::Constant(arena_->symbol(t));
-  assert(arena_->IsGround(t) && "chase head terms must ground under the trigger");
   auto it = term_to_value_.find(t);
   if (it != term_to_value_.end()) return it->second;
   if (arena_->Depth(t) > limits_.max_term_depth) return Value();
@@ -420,68 +502,107 @@ Value ChaseEngine::TermToValue(TermId t) {
   return null;
 }
 
-bool ChaseEngine::ProcessTrigger(const SoPart& part,
-                                 const Assignment& assignment,
-                                 std::vector<std::vector<Fact>>* pending) {
+TermId ChaseEngine::GroundTemplate(const CompiledPart& part, uint32_t first_op,
+                                   uint32_t num_ops,
+                                   std::span<const Value> row) {
+  term_stack_.clear();
+  for (uint32_t i = first_op; i < first_op + num_ops; ++i) {
+    const CompiledPart::Op& op = part.ops[i];
+    switch (op.kind) {
+      case CompiledPart::Op::Kind::kSlot:
+        term_stack_.push_back(ValueToTerm(row[op.operand]));
+        break;
+      case CompiledPart::Op::Kind::kTerm:
+        term_stack_.push_back(op.operand);
+        break;
+      case CompiledPart::Op::Kind::kApply: {
+        size_t base = term_stack_.size() - op.arity;
+        TermId term = arena_->MakeFunction(
+            op.operand, std::span<const TermId>(term_stack_).subspan(base));
+        term_stack_.resize(base);
+        term_stack_.push_back(term);
+        break;
+      }
+    }
+  }
+  return term_stack_.back();
+}
+
+bool ChaseEngine::StageTrigger(uint32_t part_index,
+                               std::span<const Value> row) {
   if (!governor_.Poll()) {
     Halt(governor_.reason());
     return false;
   }
-  Substitution subst;
-  for (const auto& [var, value] : assignment) {
-    subst.Bind(var, ValueToTerm(value));
+  const CompiledPart& part = parts_[part_index];
+  // Every input null a trigger binds gets its @innull provenance, whether
+  // or not the head reads it: explain prints that provenance.
+  for (Value v : row) {
+    if (v.is_null() && null_provenance_[v.index()] == kInvalidTerm) {
+      ValueToTerm(v);
+    }
   }
   // Equalities: free interpretation — ground terms must coincide.
-  for (const SoEquality& eq : part.equalities) {
-    TermId lhs = subst.Apply(arena_, eq.lhs);
-    TermId rhs = subst.Apply(arena_, eq.rhs);
-    if (lhs != rhs) return true;  // trigger inactive
-  }
-  // Stage the whole head locally first: if any head term overflows the
-  // depth budget, the trigger contributes nothing (never a partial head).
-  std::vector<Fact> staged;
-  for (const Atom& atom : part.head) {
-    Fact fact;
-    fact.relation = atom.relation;
-    for (TermId t : atom.args) {
-      TermId ground = subst.Apply(arena_, t);
-      Value v = TermToValue(ground);
-      if (!v.valid()) {
-        Halt(StopReason::kDepthLimit);
-        return false;
-      }
-      fact.args.push_back(v);
+  for (const auto& [lhs, rhs] : part.equalities) {
+    if (GroundTemplate(part, lhs.first_op, lhs.num_ops, row) !=
+        GroundTemplate(part, rhs.first_op, rhs.num_ops, row)) {
+      return true;  // trigger inactive
     }
-    staged.push_back(std::move(fact));
   }
-  pending->push_back(std::move(staged));
+  // Stage the whole head: if any head term overflows the depth budget,
+  // the trigger contributes nothing (never a partial head).
+  const size_t begin = pending_values_.size();
+  for (const CompiledPart::Arg& arg : part.head_args) {
+    Value v;
+    switch (arg.kind) {
+      case CompiledPart::Arg::Kind::kSlot:
+        v = row[arg.slot];
+        break;
+      case CompiledPart::Arg::Kind::kConstant:
+        v = arg.constant;
+        break;
+      case CompiledPart::Arg::Kind::kTemplate:
+        v = TermToValue(GroundTemplate(part, arg.first_op, arg.num_ops, row));
+        break;
+    }
+    if (!v.valid()) {
+      pending_values_.resize(begin);
+      Halt(StopReason::kDepthLimit);
+      return false;
+    }
+    pending_values_.push_back(v);
+  }
+  pending_triggers_.push_back({part_index, begin});
   return true;
 }
 
-bool ChaseEngine::FlushPending(const std::vector<std::vector<Fact>>& pending) {
+bool ChaseEngine::FlushPending() {
   ChaseGuard guard(limits_, &governor_);
   in_flush_ = true;
   bool added = false;
-  for (const std::vector<Fact>& trigger : pending) {
+  for (const StagedTrigger& trigger : pending_triggers_) {
+    const CompiledPart& part = parts_[trigger.part];
     // Triggers commit atomically: either the whole head or nothing.
-    if (!guard.CanCommit(instance_.NumFacts(), trigger.size())) {
+    if (!guard.CanCommit(instance_.NumFacts(), part.head_relations.size())) {
       Halt(governor_.reason());
       in_flush_ = false;
       return added;
     }
-    for (const Fact& fact : trigger) {
-      if (instance_.AddFact(fact)) {
+    const Value* args = pending_values_.data() + trigger.begin;
+    for (size_t i = 0; i < part.head_relations.size(); ++i) {
+      if (instance_.AddFact(part.head_relations[i],
+                            std::span<const Value>(args, part.head_arities[i]))) {
         added = true;
         ++facts_created_;
       }
+      args += part.head_arities[i];
     }
   }
   in_flush_ = false;
   return added;
 }
 
-bool ChaseEngine::StageAndMergeRound(
-    bool use_delta, std::vector<std::vector<Fact>>* pending) {
+bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   // STAGE (parallel, read-only): enumeration always sees the round-start
   // instance — the instance stays frozen until Step() flushes the whole
   // round. Inserting while enumerating would let this round's conclusions
@@ -489,42 +610,46 @@ bool ChaseEngine::StageAndMergeRound(
   // chase, but rounds would lose their meaning — and a replayed round
   // would enumerate differently than the original, breaking deterministic
   // resume). That freeze is also what makes staging embarrassingly
-  // parallel: workers share the instance, the arena and one const Matcher
-  // per rule part without synchronization.
-  const size_t num_parts = rules_.parts.size();
-  std::vector<Matcher> matchers;
-  matchers.reserve(num_parts);
+  // parallel: workers share the instance, the arena and the engine's
+  // const Matchers without synchronization.
+  const size_t num_parts = parts_.size();
   std::vector<Matcher::RootSplit> splits(num_parts);
   std::vector<MatchSlice> slices;
+  // Semi-naive row windows, one vector per (part, pivot): atoms before the
+  // pivot see only the rows that existed before the delta, the pivot its
+  // delta rows, atoms after it every row. A trigger touching several
+  // delta facts therefore fires once, at its first delta atom. That is its
+  // first occurrence in (part, pivot, row) order, which must stay where
+  // it is: it mints the trigger's nulls.
+  std::vector<std::vector<uint32_t>> windows;
   for (size_t p = 0; p < num_parts; ++p) {
-    const SoPart& part = rules_.parts[p];
-    matchers.emplace_back(arena_, &instance_, part.body);
+    const std::vector<Atom>& body = rules_.parts[p].body;
+    MatchSlice proto;
+    proto.part = static_cast<uint32_t>(p);
     if (use_delta) {
-      // For each body atom acting as the pivot, the slices cover the
-      // previous round's delta rows. Triggers touching no delta fact were
-      // already fired in an earlier round (Skolem-chase idempotence makes
-      // re-fired overlapping triggers harmless).
-      for (size_t pivot = 0; pivot < part.body.size(); ++pivot) {
-        const Atom& atom = part.body[pivot];
-        auto prev_it = rows_before_prev_round_.find(atom.relation);
-        size_t delta_begin =
-            prev_it == rows_before_prev_round_.end() ? 0 : prev_it->second;
-        auto cur_it = rows_before_current_round_.find(atom.relation);
-        size_t delta_end =
-            cur_it == rows_before_current_round_.end() ? 0 : cur_it->second;
-        PushRowSlices(p, /*delta=*/true, pivot, delta_begin, delta_end,
-                      &slices);
+      proto.delta = true;
+      for (size_t pivot = 0; pivot < body.size(); ++pivot) {
+        RelationId rel = body[pivot].relation;
+        size_t delta_begin = RowsIn(rows_before_prev_round_, rel);
+        size_t delta_end = RowsIn(rows_before_current_round_, rel);
+        if (delta_begin >= delta_end) continue;
+        std::vector<uint32_t> window(body.size(), SearchControls::kNoRowLimit);
+        for (size_t j = 0; j < pivot; ++j) {
+          window[j] = static_cast<uint32_t>(
+              RowsIn(rows_before_prev_round_, body[j].relation));
+        }
+        proto.root_atom = static_cast<int>(pivot);
+        proto.window = windows.size();
+        windows.push_back(std::move(window));
+        PushRowSlices(proto, delta_begin, delta_end, &slices);
       }
     } else {
-      splits[p] = matchers[p].PlanRoot({});
-      if (splits[p].atom < 0) {
-        MatchSlice s;
-        s.part = p;
-        s.whole_search = true;
-        slices.push_back(s);
+      splits[p] = parts_[p].matcher.PlanRoot({});
+      proto.root_atom = splits[p].atom;
+      if (proto.root_atom < 0) {
+        slices.push_back(proto);
       } else {
-        PushRowSlices(p, /*delta=*/false, 0, 0, splits[p].NumCandidates(),
-                      &slices);
+        PushRowSlices(proto, 0, splits[p].NumCandidates(), &slices);
       }
     }
   }
@@ -535,11 +660,10 @@ bool ChaseEngine::StageAndMergeRound(
       MakePeriodicCheck(limits_, governor_, &abort);
   pool_->ParallelFor(slices.size(), [&](size_t i) {
     const MatchSlice& s = slices[i];
-    const Atom* pivot_atom =
-        s.delta ? &rules_.parts[s.part].body[s.pivot] : nullptr;
-    RunSlice(matchers[s.part], splits[s.part], *arena_, instance_,
-             pivot_atom, /*head_filter=*/nullptr, s, periodic, abort,
-             &results[i]);
+    std::span<const uint32_t> window;
+    if (s.delta) window = windows[s.window];
+    RunSlice(parts_[s.part].matcher, splits[s.part], s, window,
+             /*keep=*/{}, periodic, abort, &results[i]);
   });
   if (abort.Requested()) {
     // Time-based abort (deadline/cancel): discard the staged round whole.
@@ -558,9 +682,11 @@ bool ChaseEngine::StageAndMergeRound(
       Halt(governor_.reason());
       return false;
     }
-    const SoPart& part = rules_.parts[slices[i].part];
-    for (const Assignment& assignment : results[i].matches) {
-      if (!ProcessTrigger(part, assignment, pending)) return false;
+    const uint32_t part = slices[i].part;
+    const size_t width = parts_[part].matcher.variables().size();
+    std::span<const Value> rows = results[i].values;
+    for (size_t m = 0; m < results[i].matches; ++m) {
+      if (!StageTrigger(part, rows.subspan(m * width, width))) return false;
     }
   }
   return true;
@@ -568,9 +694,9 @@ bool ChaseEngine::StageAndMergeRound(
 
 bool ChaseEngine::InstanceGrewSinceRoundStart() const {
   for (RelationId rel : instance_.ActiveRelations()) {
-    auto it = rows_before_current_round_.find(rel);
-    size_t at_start = it == rows_before_current_round_.end() ? 0 : it->second;
-    if (instance_.NumTuples(rel) != at_start) return true;
+    if (instance_.NumTuples(rel) != RowsIn(rows_before_current_round_, rel)) {
+      return true;
+    }
   }
   return false;
 }
@@ -608,9 +734,10 @@ bool ChaseEngine::Step() {
   // Stage the whole round first, then commit once: enumeration always
   // sees the round-start instance, so replaying a round from any
   // checkpoint taken inside it re-enumerates identically.
-  std::vector<std::vector<Fact>> pending;
-  if (!StageAndMergeRound(use_delta, &pending)) return false;
-  bool any = FlushPending(pending);
+  pending_values_.clear();
+  pending_triggers_.clear();
+  if (!StageAndMergeRound(use_delta)) return false;
+  bool any = FlushPending();
   if (deferred_checkpoint_) {
     deferred_checkpoint_ = false;
     if (checkpoint_hook_) checkpoint_hook_(*this);
@@ -725,15 +852,17 @@ RestrictedChaseState RestrictedChaseEngine::CaptureState() const {
 
 bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
                                         const Matcher& head_matcher,
-                                        std::vector<Assignment>* active) {
+                                        std::span<const int> head_seed,
+                                        std::vector<Value>* active,
+                                        size_t* num_active) {
   Matcher::RootSplit split = body_matcher.PlanRoot({});
   std::vector<MatchSlice> slices;
+  MatchSlice proto;
+  proto.root_atom = split.atom;
   if (split.atom < 0) {
-    MatchSlice s;
-    s.whole_search = true;
-    slices.push_back(s);
+    slices.push_back(proto);
   } else {
-    PushRowSlices(0, /*delta=*/false, 0, 0, split.NumCandidates(), &slices);
+    PushRowSlices(proto, 0, split.NumCandidates(), &slices);
   }
   std::vector<SliceResult> results(slices.size());
   StageAbort abort;
@@ -743,8 +872,15 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
     // Restricted chase: fire only when no extension to the existential
     // variables satisfies the head already. The Exists filter runs in the
     // worker (it is read-only and uncounted, as in serial evaluation).
-    RunSlice(body_matcher, split, *arena_, instance_, /*pivot_atom=*/nullptr,
-             &head_matcher, slices[i], periodic, abort, &results[i]);
+    std::vector<Value> seed(head_matcher.variables().size());
+    Matcher::Callback keep = [&](std::span<const Value> row) {
+      for (size_t k = 0; k < seed.size(); ++k) {
+        seed[k] = head_seed[k] < 0 ? Value() : row[head_seed[k]];
+      }
+      return !head_matcher.Exists(seed);
+    };
+    RunSlice(body_matcher, split, slices[i], /*window=*/{}, keep, periodic,
+             abort, &results[i]);
   });
   if (abort.Requested()) {
     Halt(abort.Reason());
@@ -755,9 +891,9 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
       Halt(governor_.reason());
       return false;
     }
-    for (Assignment& assignment : results[i].matches) {
-      active->push_back(std::move(assignment));
-    }
+    active->insert(active->end(), results[i].values.begin(),
+                   results[i].values.end());
+    *num_active += results[i].matches;
   }
   return true;
 }
@@ -791,31 +927,56 @@ bool RestrictedChaseEngine::Step() {
     // fire serially.
     Matcher body_matcher(arena_, &j, tgd.body);
     Matcher head_matcher(arena_, &j, tgd.head);
-    std::vector<Assignment> active;
-    if (!StageActive(body_matcher, head_matcher, &active)) return false;
-    for (const Assignment& assignment : active) {
+    const size_t width = body_matcher.variables().size();
+    // Per head slot, the body slot binding it (-1: existential); per head
+    // argument, the head slot it reads (-1: a constant).
+    std::vector<int> head_seed;
+    for (VariableId v : head_matcher.variables()) {
+      head_seed.push_back(body_matcher.Slot(v));
+    }
+    std::vector<int> arg_slot;
+    for (const Atom& atom : tgd.head) {
+      for (TermId t : atom.args) {
+        arg_slot.push_back(arena_->IsVariable(t)
+                               ? head_matcher.Slot(arena_->symbol(t))
+                               : -1);
+      }
+    }
+    std::vector<Value> active;
+    size_t num_active = 0;
+    if (!StageActive(body_matcher, head_matcher, head_seed, &active,
+                     &num_active)) {
+      return false;
+    }
+    std::vector<Value> extended(head_seed.size());
+    for (size_t m = 0; m < num_active; ++m) {
+      std::span<const Value> row =
+          std::span<const Value>(active).subspan(m * width, width);
       if (!governor_.Poll()) {
         Halt(governor_.reason());
         return false;
       }
+      for (size_t k = 0; k < extended.size(); ++k) {
+        extended[k] = head_seed[k] < 0 ? Value() : row[head_seed[k]];
+      }
       // Re-check: an earlier firing this round may have satisfied it.
-      if (head_matcher.Exists(assignment)) continue;
-      Assignment extended = assignment;
+      if (head_matcher.Exists(extended)) continue;
       for (VariableId y : tgd.exist_vars) {
-        extended[y] = j.FreshNull();
+        Value null = j.FreshNull();
+        int slot = head_matcher.Slot(y);
+        if (slot >= 0) extended[slot] = null;
       }
       // Stage the head first so the fact cap applies to the firing as a
       // whole (triggers commit atomically, as in ChaseEngine).
       std::vector<Fact> staged;
+      size_t arg = 0;
       for (const Atom& atom : tgd.head) {
         Fact fact;
         fact.relation = atom.relation;
         for (TermId t : atom.args) {
-          if (arena_->IsVariable(t)) {
-            fact.args.push_back(extended.at(arena_->symbol(t)));
-          } else {
-            fact.args.push_back(Value::Constant(arena_->symbol(t)));
-          }
+          int slot = arg_slot[arg++];
+          fact.args.push_back(slot < 0 ? Value::Constant(arena_->symbol(t))
+                                       : extended[slot]);
         }
         staged.push_back(std::move(fact));
       }

@@ -41,9 +41,11 @@ struct ChaseLimits {
   /// run (semi-decision budget for non-terminating chases).
   uint32_t max_term_depth = 256;
   /// Semi-naive evaluation: from round two on, only fire triggers that
-  /// touch at least one fact created in the previous round. Produces the
-  /// same result as naive evaluation (the Skolem chase is idempotent);
-  /// disable only for the ablation benchmark.
+  /// touch at least one fact created in the previous round, each exactly
+  /// once: rooted at its first delta atom, with the atoms before that
+  /// pivot restricted to pre-delta rows. Produces the same result as
+  /// naive evaluation (the Skolem chase is idempotent); disable only for
+  /// the ablation benchmark and as the differential oracle.
   bool semi_naive = true;
   /// Cross-cutting resource budget (deadline, bytes, steps, cancellation)
   /// enforced by a ResourceGovernor on top of the structural caps above.
@@ -127,9 +129,11 @@ class ChaseEngine {
               ChaseEngineState&& state, ChaseLimits limits = {});
 
   /// The governor registers the arena and the growing instance as memory
-  /// sources; moving the engine would invalidate those hooks.
+  /// sources, and the compiled rule parts point at the instance; moving
+  /// the engine would invalidate both.
   ChaseEngine(const ChaseEngine&) = delete;
   ChaseEngine& operator=(const ChaseEngine&) = delete;
+  ~ChaseEngine();
 
   /// Runs one full round (every rule, every trigger). Returns true if at
   /// least one new fact was added and no limit was hit.
@@ -170,31 +174,45 @@ class ChaseEngine {
                          std::function<void(const ChaseEngine&)> hook);
 
  private:
+  /// A rule part compiled once per engine: its body Matcher and a head
+  /// plan (defined in chase.cc).
+  struct CompiledPart;
+  /// One staged trigger of the current round: its part and where its head
+  /// values start in pending_values_.
+  struct StagedTrigger {
+    uint32_t part;
+    size_t begin;
+  };
+
+  /// Builds parts_ from rules_ (both constructors).
+  void CompileRules();
   /// Maps a value to the ground term representing it.
   TermId ValueToTerm(Value v);
   /// Maps a ground term to a value, creating a canonical null if needed.
   /// Returns an invalid Value when the depth limit is exceeded.
   Value TermToValue(TermId t);
+  /// Grounds one compiled term template under a body match.
+  TermId GroundTemplate(const CompiledPart& part, uint32_t first_op,
+                        uint32_t num_ops, std::span<const Value> row);
 
-  /// Processes one trigger (a complete body homomorphism): checks the
-  /// equalities and stages the head facts as one atomic unit. Returns
-  /// false on a limit; a trigger that hits a limit mid-head stages
-  /// nothing (no partial head facts are ever committed).
-  bool ProcessTrigger(const SoPart& part, const Assignment& assignment,
-                      std::vector<std::vector<Fact>>* pending);
+  /// Processes one trigger (a complete body match, one value per body
+  /// slot): checks the equalities and appends the head values to the
+  /// round's pending buffer as one atomic unit. Returns false on a limit;
+  /// a trigger that hits a limit mid-head stages nothing (no partial head
+  /// facts are ever committed).
+  bool StageTrigger(uint32_t part_index, std::span<const Value> row);
   /// One round's trigger enumeration: stages matching over fixed-geometry
   /// slices fanned across the pool (read-only against the round-frozen
-  /// instance), then merges the per-slice results serially in slice order
-  /// — charging governor steps and running ProcessTrigger for each match.
+  /// instance), then merges the per-slice rows serially in slice order —
+  /// charging governor steps and running StageTrigger for each match.
   /// The slice geometry and merge order are independent of the thread
   /// count, so any `threads` setting observes the identical step/trigger
   /// sequence. Returns false when the round halted (reason recorded).
-  bool StageAndMergeRound(bool use_delta,
-                          std::vector<std::vector<Fact>>* pending);
-  /// Commits a whole round's staged triggers. The instance only mutates
-  /// here: enumeration always sees the round-start instance, which is
-  /// what makes round replay (and therefore resume) deterministic.
-  bool FlushPending(const std::vector<std::vector<Fact>>& pending);
+  bool StageAndMergeRound(bool use_delta);
+  /// Commits the round's staged triggers. The instance only mutates here:
+  /// enumeration always sees the round-start instance, which is what
+  /// makes round replay (and therefore resume) deterministic.
+  bool FlushPending();
   /// Records the first stop reason and marks the run done.
   void Halt(StopReason reason);
   /// Spill mode: registers the governor's memory-pressure hook
@@ -212,6 +230,17 @@ class ChaseEngine {
   /// Staging lanes (never serialized; rebuilt from limits on resume).
   std::unique_ptr<ThreadPool> pool_;
   Instance instance_;
+  /// Body matchers and head plans, one per rule part (after instance_:
+  /// the matchers point at it).
+  std::vector<CompiledPart> parts_;
+  /// The round's staged head values, trigger after trigger, and where each
+  /// trigger starts; reused across rounds.
+  std::vector<Value> pending_values_;
+  std::vector<StagedTrigger> pending_triggers_;
+  /// Scratch stack of GroundTemplate.
+  std::vector<TermId> term_stack_;
+  /// Constant id -> its arena term (kInvalidTerm until first needed).
+  std::vector<TermId> constant_terms_;
   std::unordered_map<TermId, Value> term_to_value_;
   std::vector<TermId> null_provenance_;  // null index -> ground term
   // Semi-naive bookkeeping: per-relation row counts at the start of the
@@ -333,11 +362,14 @@ class RestrictedChaseEngine {
   void Halt(StopReason reason);
   /// Stages one tgd's body matches in parallel over fixed-geometry root
   /// slices, filtering out triggers whose head is already satisfiable
-  /// (Exists is uncounted, as in serial evaluation), then merges the
-  /// surviving assignments into `active` in slice order — the serial
-  /// enumeration order. Returns false when the round halted.
+  /// (Exists is uncounted, as in serial evaluation), then appends the
+  /// surviving body rows (one value per body slot) to `active` in slice
+  /// order — the serial enumeration order — and counts them into
+  /// `num_active`. `head_seed` maps each head slot to the body slot that
+  /// binds it, or -1. Returns false when the round halted.
   bool StageActive(const Matcher& body_matcher, const Matcher& head_matcher,
-                   std::vector<Assignment>* active);
+                   std::span<const int> head_seed, std::vector<Value>* active,
+                   size_t* num_active);
 
   TermArena* arena_;
   std::vector<Tgd> tgds_;

@@ -39,15 +39,15 @@ std::optional<NullMap> FindHomomorphism(TermArena* arena, Vocabulary* vocab,
   std::vector<Atom> atoms = CanonicalQuery(arena, vocab, from);
   Matcher matcher(arena, &to, atoms);
   matcher.set_governor(governor);
-  Assignment assignment;
-  if (!matcher.FindOne(&assignment)) return std::nullopt;
+  std::vector<Value> binding;
+  if (!matcher.FindOne(&binding)) return std::nullopt;
   NullMap map;
-  for (const auto& [var, value] : assignment) {
-    const std::string& name = vocab->VariableName(var);
+  for (size_t slot = 0; slot < binding.size(); ++slot) {
+    const std::string& name = vocab->VariableName(matcher.variables()[slot]);
     // Variables created by CanonicalQuery are named "@null$<index>".
     uint32_t null_index =
         static_cast<uint32_t>(std::stoul(name.substr(6)));
-    map[null_index] = value;
+    map[null_index] = binding[slot];
   }
   return map;
 }

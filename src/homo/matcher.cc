@@ -1,5 +1,6 @@
 #include "homo/matcher.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -7,18 +8,18 @@ namespace tgdkit {
 
 namespace {
 // Below this candidate count a second index lookup costs more than the
-// TryBindTuple probes it would save.
+// BindTuple probes it would save.
 constexpr size_t kIntersectThreshold = 16;
 
-// Two-pointer intersection of two ascending posting lists; the result is
-// ascending, so candidate enumeration order is unchanged (rows dropped
-// here would have failed TryBindTuple anyway).
+// Two-pointer intersection of two ascending posting lists, cut at
+// `limit` and appended to `out`; the result is ascending, so candidate
+// enumeration order is unchanged (rows dropped here would have failed
+// BindTuple anyway).
 void IntersectAscending(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b,
+                        const std::vector<uint32_t>& b, uint32_t limit,
                         std::vector<uint32_t>* out) {
-  out->clear();
   size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
+  while (i < a.size() && j < b.size() && a[i] < limit) {
     if (a[i] < b[j]) {
       ++i;
     } else if (b[j] < a[i]) {
@@ -30,6 +31,7 @@ void IntersectAscending(const std::vector<uint32_t>& a,
     }
   }
 }
+
 }  // namespace
 
 Matcher::Matcher(const TermArena* arena, const Instance* instance,
@@ -61,6 +63,11 @@ Matcher::Matcher(const TermArena* arena, const Instance* instance,
   }
 }
 
+int Matcher::Slot(VariableId v) const {
+  auto it = var_index_.find(v);
+  return it == var_index_.end() ? -1 : static_cast<int>(it->second);
+}
+
 int Matcher::PickNextAtom(const std::vector<Value>& binding,
                           const std::vector<bool>& done) const {
   int best = -1;
@@ -73,6 +80,8 @@ int Matcher::PickNextAtom(const std::vector<Value>& binding,
     // CountRowsWithValue is exact in both storage modes (in-core it IS
     // the posting-list size), so join-order choices — and therefore the
     // match enumeration order and null numbering — are mode-independent.
+    // Windows never enter the estimate: a windowed search keeps the
+    // unwindowed join order.
     size_t cost = instance_->NumTuples(plan.relation);
     for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
       const ArgSlot& slot = plan.slots[pos];
@@ -90,16 +99,20 @@ int Matcher::PickNextAtom(const std::vector<Value>& binding,
   return best;
 }
 
-const std::vector<uint32_t>* Matcher::Candidates(
-    const AtomPlan& plan, const std::vector<Value>& binding,
-    std::vector<uint32_t>* scratch, size_t* scan_rows) const {
+Matcher::Candidates Matcher::FindCandidates(const AtomPlan& plan,
+                                            uint32_t limit,
+                                            SearchState* state) const {
+  const std::vector<Value>& binding = state->binding;
+  std::vector<uint32_t>& stack = state->candidates;
+  Candidates out;
+  out.begin = stack.size();
   if (instance_->spill_enabled()) {
     // Spilled store: no global posting lists to point into. Pick the most
     // selective bound position by exact count (the same strict-< rule as
-    // below) and materialize its ascending candidate rows into `scratch`.
-    // No runner-up intersection: TryBindTuple fully verifies every
-    // candidate, so enumerating an ascending superset emits the identical
-    // match sequence — intersection only ever saved probes, never changed
+    // below) and materialize its ascending candidate rows. No runner-up
+    // intersection: BindTuple fully verifies every candidate, so
+    // enumerating an ascending superset emits the identical match
+    // sequence — intersection only ever saved probes, never changed
     // results.
     int best_pos = -1;
     size_t best_count = std::numeric_limits<size_t>::max();
@@ -116,45 +129,51 @@ const std::vector<uint32_t>* Matcher::Candidates(
         best_value = bound;
       }
     }
-    if (best_pos < 0) {
-      *scan_rows = instance_->NumTuples(plan.relation);
-      return nullptr;
+    if (best_pos >= 0) {
+      instance_->CandidateRows(plan.relation, static_cast<uint32_t>(best_pos),
+                               best_value, &stack);
+      stack.erase(std::lower_bound(stack.begin() + out.begin, stack.end(),
+                                   limit),
+                  stack.end());
+      out.count = stack.size() - out.begin;
+      return out;
     }
-    scratch->clear();
-    instance_->CandidateRows(plan.relation, static_cast<uint32_t>(best_pos),
-                             best_value, scratch);
-    return scratch;
-  }
-  const std::vector<uint32_t>* best = nullptr;
-  const std::vector<uint32_t>* second = nullptr;
-  for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
-    const ArgSlot& slot = plan.slots[pos];
-    Value bound = slot.is_variable ? binding[slot.local_var] : slot.constant;
-    if (!bound.valid()) continue;
-    const std::vector<uint32_t>& candidate = instance_->RowsWithValue(
-        plan.relation, static_cast<uint32_t>(pos), bound);
-    if (best == nullptr || candidate.size() < best->size()) {
-      second = best;
-      best = &candidate;
-    } else if (second == nullptr || candidate.size() < second->size()) {
-      second = &candidate;
+  } else {
+    const std::vector<uint32_t>* best = nullptr;
+    const std::vector<uint32_t>* second = nullptr;
+    for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
+      const ArgSlot& slot = plan.slots[pos];
+      Value bound = slot.is_variable ? binding[slot.local_var] : slot.constant;
+      if (!bound.valid()) continue;
+      const std::vector<uint32_t>& candidate = instance_->RowsWithValue(
+          plan.relation, static_cast<uint32_t>(pos), bound);
+      if (best == nullptr || candidate.size() < best->size()) {
+        second = best;
+        best = &candidate;
+      } else if (second == nullptr || candidate.size() < second->size()) {
+        second = &candidate;
+      }
+    }
+    if (best != nullptr) {
+      if (second != nullptr && second != best &&
+          best->size() > kIntersectThreshold) {
+        IntersectAscending(*best, *second, limit, &stack);
+      } else {
+        stack.insert(stack.end(), best->begin(),
+                     std::lower_bound(best->begin(), best->end(), limit));
+      }
+      out.count = stack.size() - out.begin;
+      return out;
     }
   }
-  if (best == nullptr) {
-    *scan_rows = instance_->NumTuples(plan.relation);
-    return nullptr;
-  }
-  if (second != nullptr && second != best &&
-      best->size() > kIntersectThreshold) {
-    IntersectAscending(*best, *second, scratch);
-    return scratch;
-  }
-  return best;
+  out.scan = true;
+  out.count = std::min<size_t>(instance_->NumTuples(plan.relation), limit);
+  return out;
 }
 
-bool Matcher::TryBindTuple(const AtomPlan& plan, std::span<const Value> tuple,
-                           std::vector<Value>* binding,
-                           std::vector<uint32_t>* trail) const {
+bool Matcher::BindTuple(const AtomPlan& plan, std::span<const Value> tuple,
+                        std::vector<Value>* binding,
+                        std::vector<uint32_t>* trail) const {
   for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
     const ArgSlot& slot = plan.slots[pos];
     if (!slot.is_variable) {
@@ -166,15 +185,14 @@ bool Matcher::TryBindTuple(const AtomPlan& plan, std::span<const Value> tuple,
       if (cell != tuple[pos]) return false;
     } else {
       cell = tuple[pos];
-      trail->push_back(slot.local_var);
+      if (trail != nullptr) trail->push_back(slot.local_var);
     }
   }
   return true;
 }
 
 bool Matcher::TryRow(SearchState* state, const AtomPlan& plan, uint32_t row,
-                     size_t remaining, bool* any,
-                     std::vector<uint32_t>* trail) const {
+                     size_t remaining) const {
   const SearchControls& controls = *state->controls;
   if (controls.governor != nullptr && !controls.governor->Poll()) {
     state->stopped = true;
@@ -188,140 +206,132 @@ bool Matcher::TryRow(SearchState* state, const AtomPlan& plan, uint32_t row,
       return false;
     }
   }
-  trail->clear();
-  std::span<const Value> tuple = instance_->Tuple(plan.relation, row);
-  if (TryBindTuple(plan, tuple, &state->binding, trail)) {
-    if (Search(state, remaining)) *any = true;
+  const size_t mark = state->trail.size();
+  if (BindTuple(plan, instance_->Tuple(plan.relation, row), &state->binding,
+                &state->trail)) {
+    Search(state, remaining);
   }
-  for (uint32_t var : *trail) state->binding[var] = Value();
+  for (size_t i = mark; i < state->trail.size(); ++i) {
+    state->binding[state->trail[i]] = Value();
+  }
+  state->trail.resize(mark);
   return !state->stopped;
 }
 
-bool Matcher::Search(SearchState* state, size_t remaining) const {
+void Matcher::Search(SearchState* state, size_t remaining) const {
   if (remaining == 0) {
-    if (!(*state->emit)(state->binding)) state->stopped = true;
-    return true;
+    ++state->emitted;
+    if (!(*state->callback)(state->binding)) state->stopped = true;
+    return;
   }
   int idx = PickNextAtom(state->binding, state->done);
   assert(idx >= 0);
   const AtomPlan& plan = plans_[idx];
   state->done[idx] = true;
-
-  std::vector<uint32_t> scratch;
-  size_t scan_rows = 0;
-  const std::vector<uint32_t>* rows =
-      Candidates(plan, state->binding, &scratch, &scan_rows);
-
-  bool any = false;
-  std::vector<uint32_t> trail;
-  if (rows != nullptr) {
-    for (uint32_t row : *rows) {
-      if (!TryRow(state, plan, row, remaining - 1, &any, &trail)) break;
-    }
-  } else {
-    for (uint32_t row = 0; row < scan_rows; ++row) {
-      if (!TryRow(state, plan, row, remaining - 1, &any, &trail)) break;
-    }
+  const std::span<const uint32_t> limits = state->controls->row_limits;
+  uint32_t limit = limits.empty() ? SearchControls::kNoRowLimit : limits[idx];
+  const size_t stack_mark = state->candidates.size();
+  Candidates rows = FindCandidates(plan, limit, state);
+  for (size_t i = 0; i < rows.count; ++i) {
+    if (!TryRow(state, plan, rows.Row(*state, i), remaining - 1)) break;
   }
-
+  state->candidates.resize(stack_mark);
   state->done[idx] = false;
-  return any;
 }
 
-void Matcher::SeedBinding(const Assignment& seed,
-                          std::vector<Value>* binding) const {
-  for (const auto& [var, value] : seed) {
-    auto it = var_index_.find(var);
-    if (it != var_index_.end()) (*binding)[it->second] = value;
-  }
-}
-
-size_t Matcher::RunSearch(
-    const Assignment& seed,
-    const std::function<bool(const Assignment&)>& callback,
-    const SearchControls& controls, const RootSplit* split,
-    uint32_t root_row) const {
-  SearchState state;
-  state.binding.assign(variables_.size(), Value());
-  SeedBinding(seed, &state.binding);
-  state.done.assign(plans_.size(), false);
-  state.controls = &controls;
-  size_t count = 0;
-  std::function<bool(const std::vector<Value>&)> emit =
-      [&](const std::vector<Value>& full) {
-        Assignment out = seed;
-        for (size_t i = 0; i < variables_.size(); ++i) {
-          out[variables_[i]] = full[i];
-        }
-        ++count;
-        return callback(out);
-      };
-  state.emit = &emit;
-  if (split == nullptr) {
-    Search(&state, plans_.size());
+void Matcher::InitState(std::span<const Value> seed, const Callback& callback,
+                        const SearchControls& controls,
+                        SearchState* state) const {
+  assert((seed.empty() || seed.size() == variables_.size()) &&
+         "a seed binds every slot or none");
+  if (seed.empty()) {
+    state->binding.assign(variables_.size(), Value());
   } else {
-    assert(split->atom >= 0);
-    const AtomPlan& plan = plans_[split->atom];
-    state.done[split->atom] = true;
-    bool any = false;
-    std::vector<uint32_t> trail;
-    TryRow(&state, plan, root_row, plans_.size() - 1, &any, &trail);
+    state->binding.assign(seed.begin(), seed.end());
   }
-  return count;
+  state->done.assign(plans_.size(), false);
+  state->callback = &callback;
+  state->controls = &controls;
 }
 
-bool Matcher::FindOne(Assignment* seed) const {
+bool Matcher::FindOne(std::vector<Value>* binding) const {
   bool found = false;
-  ForEach(*seed, [&](const Assignment& full) {
-    *seed = full;
+  std::vector<Value> seed = std::move(*binding);
+  ForEach(seed, [&](std::span<const Value> full) {
+    binding->assign(full.begin(), full.end());
     found = true;
     return false;  // stop at the first homomorphism
   });
+  if (!found) *binding = std::move(seed);
   return found;
 }
 
-size_t Matcher::ForEach(
-    const Assignment& seed,
-    const std::function<bool(const Assignment&)>& callback) const {
+bool Matcher::Exists(std::span<const Value> seed) const {
+  return ForEach(seed, [](std::span<const Value>) { return false; }) > 0;
+}
+
+size_t Matcher::ForEach(std::span<const Value> seed,
+                        const Callback& callback) const {
   SearchControls controls;
   controls.governor = governor_;
-  return RunSearch(seed, callback, controls, nullptr, 0);
+  return ForEach(seed, callback, controls);
 }
 
-size_t Matcher::ForEach(
-    const Assignment& seed,
-    const std::function<bool(const Assignment&)>& callback,
-    const SearchControls& controls) const {
-  return RunSearch(seed, callback, controls, nullptr, 0);
+size_t Matcher::ForEach(std::span<const Value> seed, const Callback& callback,
+                        const SearchControls& controls) const {
+  SearchState state;
+  InitState(seed, callback, controls, &state);
+  Search(&state, plans_.size());
+  return state.emitted;
 }
 
-Matcher::RootSplit Matcher::PlanRoot(const Assignment& seed) const {
+Matcher::RootSplit Matcher::PlanRoot(std::span<const Value> seed) const {
   RootSplit split;
   if (plans_.empty()) return split;  // shard-less query
-  std::vector<Value> binding(variables_.size(), Value());
-  SeedBinding(seed, &binding);
-  std::vector<bool> done(plans_.size(), false);
-  split.atom = PickNextAtom(binding, done);
-  std::vector<uint32_t> scratch;
-  size_t scan_rows = 0;
-  const std::vector<uint32_t>* rows =
-      Candidates(plans_[split.atom], binding, &scratch, &scan_rows);
-  if (rows == &scratch) {
-    split.use_owned = true;
-    split.owned_rows = std::move(scratch);
-  } else if (rows != nullptr) {
-    split.index_rows = rows;
-  } else {
-    split.scan_rows = scan_rows;
-  }
+  SearchControls controls;
+  Callback none;
+  SearchState state;
+  InitState(seed, none, controls, &state);
+  split.atom = PickNextAtom(state.binding, state.done);
+  Candidates rows = FindCandidates(plans_[split.atom],
+                                   SearchControls::kNoRowLimit, &state);
+  split.scan = rows.scan;
+  split.scan_rows = rows.count;
+  split.rows = std::move(state.candidates);
   return split;
 }
 
-size_t Matcher::ForEachFromRoot(
-    const Assignment& seed, const RootSplit& split, uint32_t row,
-    const std::function<bool(const Assignment&)>& callback,
-    const SearchControls& controls) const {
-  return RunSearch(seed, callback, controls, &split, row);
+size_t Matcher::ForEachSeededBy(int pivot, std::span<const uint32_t> rows,
+                                const Callback& callback,
+                                const SearchControls& controls) const {
+  assert(pivot >= 0 && static_cast<size_t>(pivot) < plans_.size());
+  SearchState state;
+  InitState({}, callback, controls, &state);
+  const AtomPlan& plan = plans_[pivot];
+  for (uint32_t row : rows) {
+    std::fill(state.binding.begin(), state.binding.end(), Value());
+    if (BindTuple(plan, instance_->Tuple(plan.relation, row), &state.binding,
+                  nullptr)) {
+      Search(&state, plans_.size());
+    }
+    if (state.stopped) break;
+  }
+  return state.emitted;
+}
+
+size_t Matcher::ForEachFromRoot(std::span<const Value> seed, int root_atom,
+                                std::span<const uint32_t> rows,
+                                const Callback& callback,
+                                const SearchControls& controls) const {
+  assert(root_atom >= 0 && static_cast<size_t>(root_atom) < plans_.size());
+  SearchState state;
+  InitState(seed, callback, controls, &state);
+  const AtomPlan& plan = plans_[root_atom];
+  state.done[root_atom] = true;
+  for (uint32_t row : rows) {
+    if (!TryRow(&state, plan, row, plans_.size() - 1)) break;
+  }
+  return state.emitted;
 }
 
 }  // namespace tgdkit

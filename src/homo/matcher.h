@@ -51,9 +51,6 @@ struct Atom {
   }
 };
 
-/// Assignment of variables to instance values.
-using Assignment = std::unordered_map<VariableId, Value>;
-
 /// Per-search knobs, owned by the caller of one search (and therefore by
 /// one thread). All fields are optional.
 struct SearchControls {
@@ -67,12 +64,26 @@ struct SearchControls {
   /// Invoked every kPeriodicCheckStride probes; returning false aborts
   /// the search (cooperative deadline/cancellation checks in workers).
   std::function<bool()> periodic_check;
+  /// Row windows (semi-naive evaluation): when non-empty, one entry per
+  /// query atom, and atom i only matches rows below row_limits[i]
+  /// (kNoRowLimit = unrestricted). A window cuts the atom's ascending
+  /// candidate list; join order still comes from full-relation counts, so
+  /// a windowed search emits the unwindowed match sequence with the
+  /// out-of-window matches removed and the order kept.
+  std::span<const uint32_t> row_limits;
 
   /// How many probes run between periodic_check calls.
   static constexpr uint64_t kPeriodicCheckStride = 1024;
+  static constexpr uint32_t kNoRowLimit = UINT32_MAX;
 };
 
 /// Backtracking matcher for a fixed list of atoms against one instance.
+///
+/// Bindings are dense: one Value per variables() slot, an invalid Value
+/// marking an unbound slot. Seeds are passed the same way (an empty seed
+/// binds nothing) and every match is emitted as the full row, so no search
+/// builds a per-match map; callers resolve the slots they read once, via
+/// Slot().
 ///
 /// The matcher picks, at every depth, the pending atom with the most
 /// selective candidate set, and enumerates candidate rows through the
@@ -81,71 +92,80 @@ struct SearchControls {
 /// instance, including concurrently.
 class Matcher {
  public:
+  /// Receives one complete binding (one value per variables() slot);
+  /// returns false to stop the enumeration.
+  using Callback = std::function<bool(std::span<const Value>)>;
+
   /// `arena` must own all argument terms; `instance` and `arena` must
   /// outlive the matcher. Atoms must contain only variables and constants.
   Matcher(const TermArena* arena, const Instance* instance,
           std::span<const Atom> atoms);
 
-  /// Finds one homomorphism extending `seed` (pre-bound variables are
-  /// respected). On success returns true and completes `seed` with bindings
-  /// for all query variables.
-  bool FindOne(Assignment* seed) const;
+  /// The distinct variables of the query, in first-occurrence order; slot
+  /// i of every binding holds the value of variables()[i].
+  const std::vector<VariableId>& variables() const { return variables_; }
 
-  /// Enumerates all homomorphisms extending `seed`. The callback returns
-  /// false to stop enumeration early. Returns the number of callbacks made.
-  size_t ForEach(const Assignment& seed,
-                 const std::function<bool(const Assignment&)>& callback) const;
+  /// The slot of `v`, or -1 when `v` does not occur in the query.
+  int Slot(VariableId v) const;
+
+  /// Finds one homomorphism extending `binding` (empty, or one value per
+  /// slot with pre-bound slots respected). On success returns true and
+  /// completes `binding`.
+  bool FindOne(std::vector<Value>* binding) const;
+
+  /// Enumerates all homomorphisms extending `seed`. Returns the number of
+  /// callbacks made.
+  size_t ForEach(std::span<const Value> seed, const Callback& callback) const;
 
   /// As above with explicit per-search controls (thread-safe entry point:
   /// the Matcher itself stays untouched).
-  size_t ForEach(const Assignment& seed,
-                 const std::function<bool(const Assignment&)>& callback,
+  size_t ForEach(std::span<const Value> seed, const Callback& callback,
                  const SearchControls& controls) const;
 
   /// True iff at least one homomorphism extending `seed` exists.
-  bool Exists(const Assignment& seed) const {
-    Assignment copy = seed;
-    return FindOne(&copy);
-  }
+  bool Exists(std::span<const Value> seed) const;
 
   /// The root of the search tree for `seed`, exposed so callers can shard
   /// one enumeration into independent row ranges: ForEach(seed, cb) emits
   /// exactly the concatenation, over i in [0, NumCandidates()), of
-  /// ForEachFromRoot(seed, split, split.Row(i), cb). `index_rows` points
-  /// into the instance's posting lists and stays valid while the instance
-  /// is not mutated (the chase freezes the instance for the whole round).
+  /// ForEachFromRoot(seed, split.atom, {split.Row(i)}, cb), as long as the
+  /// instance is not mutated in between (the chase freezes the instance
+  /// for the whole round).
   struct RootSplit {
     int atom = -1;  // -1: the query has no atoms (shard-less; use ForEach)
-    bool use_owned = false;
-    const std::vector<uint32_t>* index_rows = nullptr;
-    std::vector<uint32_t> owned_rows;  // intersected candidate list
-    size_t scan_rows = 0;              // full-scan fallback: rows [0, n)
+    bool scan = false;           // full scan: rows [0, scan_rows)
+    size_t scan_rows = 0;
+    std::vector<uint32_t> rows;  // otherwise: the ascending candidates
 
-    size_t NumCandidates() const {
-      if (use_owned) return owned_rows.size();
-      return index_rows != nullptr ? index_rows->size() : scan_rows;
-    }
+    size_t NumCandidates() const { return scan ? scan_rows : rows.size(); }
     uint32_t Row(size_t i) const {
-      if (use_owned) return owned_rows[i];
-      return index_rows != nullptr ? (*index_rows)[i]
-                                   : static_cast<uint32_t>(i);
+      return scan ? static_cast<uint32_t>(i) : rows[i];
     }
   };
 
   /// Plans the root split ForEach(seed, ...) would explore: same atom
   /// choice, same candidate rows, same order.
-  RootSplit PlanRoot(const Assignment& seed) const;
+  RootSplit PlanRoot(std::span<const Value> seed) const;
 
-  /// Enumerates the homomorphisms whose root atom maps to `row`, in the
-  /// order the full search would emit them. Counts the root probe and all
-  /// inner probes through `controls`, exactly like ForEach.
-  size_t ForEachFromRoot(const Assignment& seed, const RootSplit& split,
-                         uint32_t row,
-                         const std::function<bool(const Assignment&)>& callback,
+  /// Enumerates, for each row in `rows` in order, the homomorphisms that
+  /// map the planned root atom (`root_atom` = RootSplit::atom) to that
+  /// row, in the order the full search would emit them. Counts the root
+  /// probes and all inner probes through `controls`, exactly like ForEach.
+  size_t ForEachFromRoot(std::span<const Value> seed, int root_atom,
+                         std::span<const uint32_t> rows,
+                         const Callback& callback,
                          const SearchControls& controls) const;
 
-  /// The distinct variables of the query, in first-occurrence order.
-  const std::vector<VariableId>& variables() const { return variables_; }
+  /// Enumerates, for each row in `rows` in order, the homomorphisms
+  /// extending the seed that binds atom `pivot`'s variables to that row:
+  /// exactly ForEach(seed, ...) per row, the pivot matched again like any
+  /// other atom, and a row that cannot match the pivot (a constant or a
+  /// repeated variable disagrees) skipped. This is the semi-naive chase's
+  /// delta search; the caller keeps `rows` inside the pivot's delta
+  /// window.
+  size_t ForEachSeededBy(int pivot, std::span<const uint32_t> rows,
+                         const Callback& callback,
+                         const SearchControls& controls) const;
 
   /// Attaches a resource governor used by the control-less entry points:
   /// every candidate row probed counts as one step, and the search unwinds
@@ -165,42 +185,59 @@ class Matcher {
     RelationId relation;
     std::vector<ArgSlot> slots;
   };
-  /// Mutable state of one search, owned by the calling thread.
+  /// Mutable state of one search, owned by the calling thread. The trail
+  /// and candidate buffers are stacks shared by all depths, so a search
+  /// allocates nothing per node once they have grown.
   struct SearchState {
     std::vector<Value> binding;
     std::vector<bool> done;
-    const std::function<bool(const std::vector<Value>&)>* emit = nullptr;
+    std::vector<uint32_t> trail;       // slots bound, innermost last
+    std::vector<uint32_t> candidates;  // per-depth candidate lists
+    const Callback* callback = nullptr;
     const SearchControls* controls = nullptr;
     uint64_t probes_until_check = SearchControls::kPeriodicCheckStride;
+    size_t emitted = 0;
     bool stopped = false;
   };
-  /// Candidate rows for `plan` under the current binding: the most
-  /// selective bound position's posting list, intersected into `scratch`
-  /// with the runner-up when worthwhile; nullptr means full scan.
-  const std::vector<uint32_t>* Candidates(const AtomPlan& plan,
-                                          const std::vector<Value>& binding,
-                                          std::vector<uint32_t>* scratch,
-                                          size_t* scan_rows) const;
 
-  bool Search(SearchState* state, size_t remaining) const;
+  /// The candidate rows of one search depth, ascending: a range of the
+  /// state's candidate stack (read by index, since deeper depths grow the
+  /// stack), or a full scan of rows [0, count).
+  struct Candidates {
+    bool scan = false;
+    size_t begin = 0;
+    size_t count = 0;
+
+    uint32_t Row(const SearchState& state, size_t i) const {
+      return scan ? static_cast<uint32_t>(i) : state.candidates[begin + i];
+    }
+  };
+
+  /// Pushes the candidate rows for `plan` under the state's binding, cut
+  /// at `limit`, onto the candidate stack: the most selective bound
+  /// position's posting list, intersected with the runner-up when
+  /// worthwhile; a full scan when no position is bound.
+  Candidates FindCandidates(const AtomPlan& plan, uint32_t limit,
+                            SearchState* state) const;
+
+  void Search(SearchState* state, size_t remaining) const;
   /// Probe accounting + bind + recurse for one candidate row. Returns
   /// false once the search must unwind (stop/abort/exhaustion).
   bool TryRow(SearchState* state, const AtomPlan& plan, uint32_t row,
-              size_t remaining, bool* any, std::vector<uint32_t>* trail) const;
+              size_t remaining) const;
 
   int PickNextAtom(const std::vector<Value>& binding,
                    const std::vector<bool>& done) const;
 
-  bool TryBindTuple(const AtomPlan& plan, std::span<const Value> tuple,
-                    std::vector<Value>* binding,
-                    std::vector<uint32_t>* trail) const;
+  /// Binds `plan`'s variables to `tuple`, pushing newly bound slots onto
+  /// `trail` when it is given. False on a mismatch; bindings made before
+  /// it stay (on the trail) for the caller to undo.
+  bool BindTuple(const AtomPlan& plan, std::span<const Value> tuple,
+                 std::vector<Value>* binding,
+                 std::vector<uint32_t>* trail) const;
 
-  void SeedBinding(const Assignment& seed, std::vector<Value>* binding) const;
-
-  size_t RunSearch(const Assignment& seed,
-                   const std::function<bool(const Assignment&)>& callback,
-                   const SearchControls& controls, const RootSplit* split,
-                   uint32_t root_row) const;
+  void InitState(std::span<const Value> seed, const Callback& callback,
+                 const SearchControls& controls, SearchState* state) const;
 
   const TermArena* arena_;
   const Instance* instance_;

@@ -1,5 +1,6 @@
 #include "mc/model_check.h"
 
+#include <cassert>
 #include <functional>
 #include <map>
 #include <optional>
@@ -10,22 +11,44 @@
 
 namespace tgdkit {
 
+namespace {
+
+/// For each slot of `to`, the slot of `from` that binds the same variable,
+/// or -1 — resolved once per matcher pair, not per match.
+std::vector<int> SeedMap(const Matcher& from, const Matcher& to) {
+  std::vector<int> map;
+  map.reserve(to.variables().size());
+  for (VariableId v : to.variables()) map.push_back(from.Slot(v));
+  return map;
+}
+
+/// Fills `seed` (one value per slot of the target matcher) from a match of
+/// the source matcher through a SeedMap.
+void FillSeed(std::span<const int> map, std::span<const Value> row,
+              std::vector<Value>* seed) {
+  seed->resize(map.size());
+  for (size_t k = 0; k < map.size(); ++k) {
+    (*seed)[k] = map[k] < 0 ? Value() : row[map[k]];
+  }
+}
+
+/// The reported witness: a match of `matcher`, by variable.
+TgdViolation Witness(const Matcher& matcher, std::span<const Value> row) {
+  TgdViolation violation;
+  for (size_t i = 0; i < row.size(); ++i) {
+    violation.trigger.emplace(matcher.variables()[i], row[i]);
+  }
+  return violation;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // tgds
 
 bool CheckTgd(const TermArena& arena, const Instance& instance,
               const Tgd& tgd) {
-  Matcher body(&arena, &instance, tgd.body);
-  Matcher head(&arena, &instance, tgd.head);
-  bool ok = true;
-  body.ForEach({}, [&](const Assignment& assignment) {
-    if (!head.Exists(assignment)) {
-      ok = false;
-      return false;
-    }
-    return true;
-  });
-  return ok;
+  return !FindTgdViolation(arena, instance, tgd).has_value();
 }
 
 std::string TgdViolation::ToString(const Vocabulary& vocab,
@@ -53,10 +76,13 @@ std::optional<TgdViolation> FindTgdViolation(const TermArena& arena,
   body.set_governor(governor);
   Matcher head(&arena, &instance, tgd.head);
   head.set_governor(governor);
+  const std::vector<int> head_seed = SeedMap(body, head);
+  std::vector<Value> seed;
   std::optional<TgdViolation> violation;
-  body.ForEach({}, [&](const Assignment& assignment) {
-    if (!head.Exists(assignment)) {
-      violation = TgdViolation{assignment};
+  body.ForEach({}, [&](std::span<const Value> row) {
+    FillSeed(head_seed, row, &seed);
+    if (!head.Exists(seed)) {
+      violation = Witness(body, row);
       return false;
     }
     return true;
@@ -77,98 +103,159 @@ bool CheckTgds(const TermArena& arena, const Instance& instance,
 
 namespace {
 
-bool EvalNestedNode(const TermArena& arena, const Instance& instance,
-                    const NestedNode& node, const Assignment& assignment,
-                    const std::vector<Value>& domain,
-                    ResourceGovernor* governor);
+/// Recursive quantifier-alternation evaluator over one nested tgd. Every
+/// node's body and head Matcher is built once, and every matcher slot is
+/// resolved once to a position of one dense environment shared by the
+/// whole evaluation: a variable bound by an outer node (or an outer
+/// existential choice) seeds the inner matchers that mention it.
+class NestedEvaluator {
+ public:
+  NestedEvaluator(const TermArena& arena, const Instance& instance,
+                  const NestedTgd& nested, ResourceGovernor* governor)
+      : instance_(instance),
+        governor_(governor),
+        domain_(instance.ActiveDomain()),
+        root_(Compile(arena, nested.root)) {
+    env_.assign(env_index_.size(), Value());
+  }
 
-/// Checks one trigger of a nested node: given bindings for the node's
-/// body (and all outer variables), some choice of the existentials must
-/// satisfy the direct head atoms and, recursively, all children. A budget
-/// stop surfaces as "false" here; callers must consult the governor
-/// before trusting a negative verdict.
-bool EvalNestedConclusion(const TermArena& arena, const Instance& instance,
-                          const NestedNode& node,
-                          const Assignment& body_assignment,
-                          const std::vector<Value>& domain,
-                          ResourceGovernor* governor) {
-  const std::vector<VariableId>& exist = node.exist_vars;
-  std::function<bool(size_t, Assignment&)> choose =
-      [&](size_t index, Assignment& current) -> bool {
-    if (governor != nullptr && !governor->Poll()) return false;
-    if (index == exist.size()) {
+  /// Finds a root body match with no satisfying conclusion; nullopt when
+  /// none exists (or, with a governor, when the budget ran out first).
+  std::optional<TgdViolation> FindViolation() {
+    std::optional<TgdViolation> violation;
+    ForEachBodyMatch(root_, [&](std::span<const Value> row) {
+      if (Choose(root_, 0)) return true;
+      if (governor_ != nullptr && governor_->exhausted()) return false;
+      violation = Witness(root_.body, row);
+      return false;
+    });
+    return violation;
+  }
+
+  /// Every homomorphism of the root body admits a satisfying conclusion.
+  bool Holds() { return EvalNode(root_); }
+
+ private:
+  struct Node {
+    const NestedNode* source;
+    Matcher body;
+    Matcher head;
+    std::vector<uint32_t> body_env;   // body slot -> environment position
+    std::vector<uint32_t> head_env;   // head slot -> environment position
+    std::vector<uint32_t> exist_env;  // existential -> environment position
+    std::vector<Node> children;
+  };
+
+  uint32_t EnvIndex(VariableId v) {
+    return env_index_.emplace(v, static_cast<uint32_t>(env_index_.size()))
+        .first->second;
+  }
+
+  Node Compile(const TermArena& arena, const NestedNode& source) {
+    Node node{&source,
+              Matcher(&arena, &instance_, source.body),
+              Matcher(&arena, &instance_, source.head_atoms),
+              {}, {}, {}, {}};
+    node.body.set_governor(governor_);
+    node.head.set_governor(governor_);
+    for (VariableId v : node.body.variables()) {
+      node.body_env.push_back(EnvIndex(v));
+    }
+    for (VariableId v : node.head.variables()) {
+      node.head_env.push_back(EnvIndex(v));
+    }
+    for (VariableId v : source.exist_vars) {
+      node.exist_env.push_back(EnvIndex(v));
+    }
+    for (const NestedNode& child : source.children) {
+      node.children.push_back(Compile(arena, child));
+    }
+    return node;
+  }
+
+  std::vector<Value> Seed(std::span<const uint32_t> slots) const {
+    std::vector<Value> seed;
+    seed.reserve(slots.size());
+    for (uint32_t e : slots) seed.push_back(env_[e]);
+    return seed;
+  }
+
+  /// Enumerates the node's body matches under the environment, binding
+  /// each match into the environment while `callback` runs.
+  void ForEachBodyMatch(const Node& node, const Matcher::Callback& callback) {
+    const std::vector<Value> seed = Seed(node.body_env);
+    node.body.ForEach(seed, [&](std::span<const Value> row) {
+      for (size_t k = 0; k < row.size(); ++k) env_[node.body_env[k]] = row[k];
+      bool more = callback(row);
+      for (size_t k = 0; k < row.size(); ++k) env_[node.body_env[k]] = seed[k];
+      return more;
+    });
+  }
+
+  /// Evaluates a nested node under the environment: every homomorphism of
+  /// the body must admit a satisfying choice of existentials.
+  bool EvalNode(const Node& node) {
+    bool ok = true;
+    ForEachBodyMatch(node, [&](std::span<const Value>) {
+      ok = Choose(node, 0);
+      return ok;
+    });
+    return ok;
+  }
+
+  /// Checks one trigger of a nested node, existentials [index, end) still
+  /// to choose: given bindings for the node's body (and all outer
+  /// variables), some choice of the existentials must satisfy the direct
+  /// head atoms and, recursively, all children. A budget stop surfaces as
+  /// "false" here; callers must consult the governor before trusting a
+  /// negative verdict.
+  bool Choose(const Node& node, size_t index) {
+    if (governor_ != nullptr && !governor_->Poll()) return false;
+    if (index == node.exist_env.size()) {
       // All existentials chosen: direct head atoms must be facts.
-      Matcher head(&arena, &instance, node.head_atoms);
-      head.set_governor(governor);
-      Assignment probe = current;
-      if (!node.head_atoms.empty() && !head.FindOne(&probe)) return false;
-      for (const NestedNode& child : node.children) {
-        if (!EvalNestedNode(arena, instance, child, current, domain,
-                            governor)) {
-          return false;
-        }
+      if (!node.source->head_atoms.empty() &&
+          !node.head.Exists(Seed(node.head_env))) {
+        return false;
+      }
+      for (const Node& child : node.children) {
+        if (!EvalNode(child)) return false;
       }
       return true;
     }
-    for (Value v : domain) {
-      current[exist[index]] = v;
-      if (choose(index + 1, current)) return true;
-      if (governor != nullptr && governor->exhausted()) break;
+    Value& cell = env_[node.exist_env[index]];
+    const Value outer = cell;
+    for (Value v : domain_) {
+      cell = v;
+      if (Choose(node, index + 1)) {
+        cell = outer;
+        return true;
+      }
+      if (governor_ != nullptr && governor_->exhausted()) break;
     }
-    current.erase(exist[index]);
+    cell = outer;
     return false;
-  };
-  Assignment current = body_assignment;
-  return choose(0, current);
-}
+  }
 
-/// Evaluates a nested node under `assignment` (bindings for all outer
-/// variables): every homomorphism of the body must admit a satisfying
-/// choice of existentials.
-bool EvalNestedNode(const TermArena& arena, const Instance& instance,
-                    const NestedNode& node, const Assignment& assignment,
-                    const std::vector<Value>& domain,
-                    ResourceGovernor* governor) {
-  Matcher body(&arena, &instance, node.body);
-  body.set_governor(governor);
-  bool ok = true;
-  body.ForEach(assignment, [&](const Assignment& body_assignment) {
-    if (!EvalNestedConclusion(arena, instance, node, body_assignment,
-                              domain, governor)) {
-      ok = false;
-      return false;
-    }
-    return true;
-  });
-  return ok;
-}
+  const Instance& instance_;
+  ResourceGovernor* governor_;
+  std::vector<Value> domain_;
+  std::unordered_map<VariableId, uint32_t> env_index_;
+  std::vector<Value> env_;
+  Node root_;
+};
 
 }  // namespace
 
 bool CheckNested(const TermArena& arena, const Instance& instance,
                  const NestedTgd& nested) {
-  std::vector<Value> domain = instance.ActiveDomain();
-  return EvalNestedNode(arena, instance, nested.root, {}, domain, nullptr);
+  return NestedEvaluator(arena, instance, nested, nullptr).Holds();
 }
 
 std::optional<TgdViolation> FindNestedViolation(const TermArena& arena,
                                                 const Instance& instance,
                                                 const NestedTgd& nested,
                                                 ResourceGovernor* governor) {
-  std::vector<Value> domain = instance.ActiveDomain();
-  Matcher body(&arena, &instance, nested.root.body);
-  body.set_governor(governor);
-  std::optional<TgdViolation> violation;
-  body.ForEach({}, [&](const Assignment& body_assignment) {
-    if (!EvalNestedConclusion(arena, instance, nested.root, body_assignment,
-                              domain, governor)) {
-      if (governor != nullptr && governor->exhausted()) return false;
-      violation = TgdViolation{body_assignment};
-      return false;
-    }
-    return true;
-  });
-  return violation;
+  return NestedEvaluator(arena, instance, nested, governor).FindViolation();
 }
 
 // ---------------------------------------------------------------------------
@@ -207,11 +294,16 @@ class SoSearcher {
     // Materialize all ground constraints: one per part per body
     // homomorphism. This enumeration itself can be exponential, so it
     // runs under the governor too.
+    bodies_.reserve(so.parts.size());
     for (const SoPart& part : so.parts) {
-      Matcher body(&arena_, &instance_, part.body);
+      bodies_.emplace_back(&arena_, &instance_, part.body);
+    }
+    for (size_t p = 0; p < so.parts.size(); ++p) {
+      Matcher& body = bodies_[p];
       body.set_governor(&governor_);
-      body.ForEach({}, [&](const Assignment& assignment) {
-        constraints_.push_back(Constraint{&part, assignment});
+      body.ForEach({}, [&](std::span<const Value> row) {
+        constraints_.push_back(Constraint{&so.parts[p], &body, values_.size()});
+        values_.insert(values_.end(), row.begin(), row.end());
         return true;
       });
       if (governor_.exhausted()) break;
@@ -245,26 +337,32 @@ class SoSearcher {
   }
 
  private:
+  /// One ground constraint: a part and a match of its body, stored as
+  /// one value per body slot at values_[begin...].
   struct Constraint {
     const SoPart* part;
-    Assignment assignment;
+    const Matcher* body;
+    size_t begin;
   };
 
-  /// Evaluates a term under `assignment` and the current partial table.
-  /// Returns the value, or nullopt with `*blocked` set to the missing
-  /// entry.
-  std::optional<Value> Eval(TermId t, const Assignment& assignment,
-                            EntryKey* blocked) {
+  /// Evaluates a term under the constraint's body match and the current
+  /// partial table. Returns the value, or nullopt with `*blocked` set to
+  /// the missing entry.
+  std::optional<Value> Eval(TermId t, const Constraint& c, EntryKey* blocked) {
     switch (arena_.kind(t)) {
-      case TermKind::kVariable:
-        return assignment.at(arena_.symbol(t));
+      case TermKind::kVariable: {
+        // ValidateSoTgd: every variable of a part occurs in its body.
+        int slot = c.body->Slot(arena_.symbol(t));
+        assert(slot >= 0);
+        return values_[c.begin + slot];
+      }
       case TermKind::kConstant:
         return Value::Constant(arena_.symbol(t));
       case TermKind::kFunction: {
         EntryKey key;
         key.function = arena_.symbol(t);
         for (TermId a : arena_.args(t)) {
-          std::optional<Value> v = Eval(a, assignment, blocked);
+          std::optional<Value> v = Eval(a, c, blocked);
           if (!v.has_value()) return std::nullopt;
           key.args.push_back(*v);
         }
@@ -285,16 +383,16 @@ class SoSearcher {
 
   Outcome Check(const Constraint& c, EntryKey* blocked) {
     for (const SoEquality& eq : c.part->equalities) {
-      std::optional<Value> lhs = Eval(eq.lhs, c.assignment, blocked);
+      std::optional<Value> lhs = Eval(eq.lhs, c, blocked);
       if (!lhs.has_value()) return Outcome::kBlocked;
-      std::optional<Value> rhs = Eval(eq.rhs, c.assignment, blocked);
+      std::optional<Value> rhs = Eval(eq.rhs, c, blocked);
       if (!rhs.has_value()) return Outcome::kBlocked;
       if (*lhs != *rhs) return Outcome::kSatisfied;  // antecedent false
     }
     for (const Atom& atom : c.part->head) {
       std::vector<Value> args;
       for (TermId t : atom.args) {
-        std::optional<Value> v = Eval(t, c.assignment, blocked);
+        std::optional<Value> v = Eval(t, c, blocked);
         if (!v.has_value()) return Outcome::kBlocked;
         args.push_back(*v);
       }
@@ -347,7 +445,9 @@ class SoSearcher {
   McOptions options_;
   ResourceGovernor governor_;
   std::vector<Value> domain_;
+  std::vector<Matcher> bodies_;  // one per part
   std::vector<Constraint> constraints_;
+  std::vector<Value> values_;    // the constraints' body matches
   std::map<EntryKey, Value> table_;
   uint64_t branches_ = 0;
   bool budget_exceeded_ = false;

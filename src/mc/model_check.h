@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "base/budget.h"
 #include "data/instance.h"
@@ -58,9 +59,10 @@ struct McResult {
 bool CheckTgd(const TermArena& arena, const Instance& instance,
               const Tgd& tgd);
 
-/// A violation witness: the body homomorphism that has no head extension.
+/// A violation witness: the body homomorphism that has no head extension,
+/// by variable (built once, when the violation is reported).
 struct TgdViolation {
-  Assignment trigger;
+  std::unordered_map<VariableId, Value> trigger;
 
   /// Renders the witness, e.g. "e=alice, d=cs".
   std::string ToString(const Vocabulary& vocab,

@@ -1,6 +1,7 @@
 #include "query/query.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,11 +15,17 @@ std::vector<std::vector<Value>> Evaluate(const TermArena& arena,
                                          const Instance& instance,
                                          const ConjunctiveQuery& q) {
   Matcher matcher(&arena, &instance, q.atoms);
+  // Safe queries: every free variable occurs in the body.
+  std::vector<int> slots;
+  for (VariableId v : q.free_vars) {
+    slots.push_back(matcher.Slot(v));
+    assert(slots.back() >= 0);
+  }
   std::set<std::vector<Value>> distinct;
-  matcher.ForEach({}, [&](const Assignment& assignment) {
+  matcher.ForEach({}, [&](std::span<const Value> row) {
     std::vector<Value> tuple;
-    tuple.reserve(q.free_vars.size());
-    for (VariableId v : q.free_vars) tuple.push_back(assignment.at(v));
+    tuple.reserve(slots.size());
+    for (int slot : slots) tuple.push_back(row[slot]);
     distinct.insert(std::move(tuple));
     // Boolean queries need only one witness.
     return !q.free_vars.empty();

@@ -38,6 +38,11 @@ TermId TermArena::InternNode(TermKind kind, SymbolId symbol,
   node.symbol = symbol;
   node.first_arg = static_cast<uint32_t>(args_.size());
   node.num_args = static_cast<uint32_t>(args.size());
+  node.depth = 0;
+  if (kind == TermKind::kFunction) {
+    for (TermId a : args) node.depth = std::max(node.depth, nodes_[a].depth);
+    ++node.depth;
+  }
   args_.insert(args_.end(), args.begin(), args.end());
   TermId id = static_cast<TermId>(nodes_.size());
   nodes_.push_back(node);
@@ -55,14 +60,6 @@ TermId TermArena::MakeConstant(ConstantId c) {
 
 TermId TermArena::MakeFunction(FunctionId f, std::span<const TermId> args) {
   return InternNode(TermKind::kFunction, f, args);
-}
-
-uint32_t TermArena::Depth(TermId t) const {
-  const Node& n = nodes_[t];
-  if (n.kind != TermKind::kFunction) return 0;
-  uint32_t max_child = 0;
-  for (TermId a : args(t)) max_child = std::max(max_child, Depth(a));
-  return 1 + max_child;
 }
 
 uint64_t TermArena::Size(TermId t) const {

@@ -54,8 +54,9 @@ class TermArena {
   }
 
   /// Nesting depth: variables/constants have depth 0, f(t1..tk) has
-  /// depth 1 + max depth of arguments (f() has depth 1).
-  uint32_t Depth(TermId t) const;
+  /// depth 1 + max depth of arguments (f() has depth 1). O(1): recorded
+  /// when the node is interned, so shared subterms are never re-walked.
+  uint32_t Depth(TermId t) const { return nodes_[t].depth; }
 
   /// Number of nodes in the term tree (with sharing expanded).
   uint64_t Size(TermId t) const;
@@ -91,6 +92,7 @@ class TermArena {
     SymbolId symbol;
     uint32_t first_arg;
     uint32_t num_args;
+    uint32_t depth;
   };
 
   /// Estimated per-bucket overhead of the hash-cons map (node + vector).

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -37,6 +38,9 @@ class BatchCrashTest : public ::testing::Test {
     static int counter = 0;
     dir_ = testing::TempDir() + "/tgdkit_chaos_" + std::to_string(getpid()) +
            "_" + std::to_string(counter++);
+    // Start empty: a directory left behind by an earlier test process
+    // that had the same pid would hand this test its ledgers.
+    std::filesystem::remove_all(dir_);
     ASSERT_TRUE(MakeDirectories(dir_).ok());
     WriteFile("deps.tgd", "t: E(x, y) & E(y, z) -> E(x, z) .\n");
     std::string seed;

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -38,6 +39,9 @@ class BatchTest : public ::testing::Test {
     static int counter = 0;
     dir_ = testing::TempDir() + "/tgdkit_batch_" + std::to_string(getpid()) +
            "_" + std::to_string(counter++);
+    // Start empty: a directory left behind by an earlier test process
+    // that had the same pid would hand this test its ledgers.
+    std::filesystem::remove_all(dir_);
     ASSERT_TRUE(MakeDirectories(dir_).ok());
   }
 

@@ -141,6 +141,26 @@ TEST_F(ChaseTest, NonTerminatingChaseHitsDepthLimit) {
   EXPECT_GE(result.instance.NumTuples(pr), 10u);
 }
 
+TEST_F(ChaseTest, SharedSubtermTowerStopsAtDefaultDepthLimit) {
+  // dup: R(x, y) -> exists z . R(z, z). Round k builds f(t, t) over the
+  // previous round's term t: a 2^k-node tree that shares one subterm per
+  // level. A depth check that re-walks that tree never lets the run reach
+  // the default depth limit.
+  Tgd dup;
+  dup.body = {ws_.A("R", {ws_.V("x"), ws_.V("y")})};
+  dup.head = {ws_.A("R", {ws_.V("z"), ws_.V("z")})};
+  dup.exist_vars = {ws_.Vid("z")};
+  SoTgd so = TgdToSo(&ws_.arena, &ws_.vocab, dup);
+
+  Instance input(&ws_.vocab);
+  input.AddFact(ws_.Fc("R", {"a", "b"}));
+
+  ChaseResult result = Chase(&ws_.arena, &ws_.vocab, so, input);
+  EXPECT_EQ(result.stop_reason, ChaseStop::kDepthLimit);
+  EXPECT_EQ(result.rounds, 257u);
+  EXPECT_EQ(result.facts_created, 256u);
+}
+
 TEST_F(ChaseTest, FactLimitStopsChase) {
   FunctionId f = ws_.vocab.InternFunction("wide", 1);
   SoTgd so;

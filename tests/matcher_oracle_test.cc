@@ -106,9 +106,9 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithNaiveJoin) {
     }
     Matcher matcher(&ws.arena, &inst, atoms);
     std::set<std::vector<Value>> via_matcher;
-    matcher.ForEach({}, [&](const Assignment& assignment) {
+    matcher.ForEach({}, [&](std::span<const Value> binding) {
       std::vector<Value> row;
-      for (VariableId v : query_vars) row.push_back(assignment.at(v));
+      for (VariableId v : query_vars) row.push_back(binding[matcher.Slot(v)]);
       via_matcher.insert(std::move(row));
       return true;
     });
@@ -145,11 +145,10 @@ TEST_P(MatcherOracleTest, SeededSearchMatchesFilteredNaive) {
 
   Matcher matcher(&ws.arena, &inst, atoms);
   std::set<std::vector<Value>> seeded;
-  Assignment seed{{ws.Vid("a"), pin}};
-  matcher.ForEach(seed, [&](const Assignment& assignment) {
-    std::vector<Value> row;
-    for (VariableId v : matcher.variables()) row.push_back(assignment.at(v));
-    seeded.insert(std::move(row));
+  std::vector<Value> seed(matcher.variables().size());
+  seed[matcher.Slot(ws.Vid("a"))] = pin;
+  matcher.ForEach(seed, [&](std::span<const Value> binding) {
+    seeded.emplace(binding.begin(), binding.end());
     return true;
   });
 

@@ -52,23 +52,35 @@ TEST(SegmentCorruptTest, FileNamesAreStable) {
   EXPECT_EQ(SegmentFileName(7, 123), "r7_s123.seg");
 }
 
+// One corpus file and the status its load must fail with. Printed as the
+// quoted file name alone: a `const char*` nested in a pair would print
+// with its runtime address, giving the test a different name per run.
+struct RejectionCase {
+  const char* file;
+  Status::Code code;
+};
+
+void PrintTo(const RejectionCase& c, std::ostream* os) {
+  *os << '"' << c.file << '"';
+}
+
 class SegmentCorpusRejectionTest
-    : public ::testing::TestWithParam<std::pair<const char*, Status::Code>> {};
+    : public ::testing::TestWithParam<RejectionCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Files, SegmentCorpusRejectionTest,
     ::testing::Values(
-        std::make_pair("truncated_payload.seg", Status::Code::kDataLoss),
-        std::make_pair("truncated_header.seg", Status::Code::kDataLoss),
-        std::make_pair("bitflip_payload.seg", Status::Code::kDataLoss),
-        std::make_pair("bad_crc.seg", Status::Code::kDataLoss),
-        std::make_pair("rows_mismatch.seg", Status::Code::kDataLoss),
-        std::make_pair("future_version.seg", Status::Code::kUnsupported),
-        std::make_pair("wrong_magic.seg", Status::Code::kDataLoss),
-        std::make_pair("empty.seg", Status::Code::kDataLoss),
-        std::make_pair("garbage.seg", Status::Code::kDataLoss),
-        std::make_pair("interior_garbage.seg", Status::Code::kDataLoss),
-        std::make_pair("zero_arity.seg", Status::Code::kDataLoss)));
+        RejectionCase{"truncated_payload.seg", Status::Code::kDataLoss},
+        RejectionCase{"truncated_header.seg", Status::Code::kDataLoss},
+        RejectionCase{"bitflip_payload.seg", Status::Code::kDataLoss},
+        RejectionCase{"bad_crc.seg", Status::Code::kDataLoss},
+        RejectionCase{"rows_mismatch.seg", Status::Code::kDataLoss},
+        RejectionCase{"future_version.seg", Status::Code::kUnsupported},
+        RejectionCase{"wrong_magic.seg", Status::Code::kDataLoss},
+        RejectionCase{"empty.seg", Status::Code::kDataLoss},
+        RejectionCase{"garbage.seg", Status::Code::kDataLoss},
+        RejectionCase{"interior_garbage.seg", Status::Code::kDataLoss},
+        RejectionCase{"zero_arity.seg", Status::Code::kDataLoss}));
 
 TEST_P(SegmentCorpusRejectionTest, RejectedWithTypedStatus) {
   auto [name, code] = GetParam();

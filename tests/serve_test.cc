@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -37,6 +38,9 @@ class ServeTest : public ::testing::Test {
     static int counter = 0;
     dir_ = testing::TempDir() + "/tgdkit_serve_" + std::to_string(getpid()) +
            "_" + std::to_string(counter++);
+    // Start empty: a directory left behind by an earlier test process
+    // that had the same pid would hand this test its ledgers.
+    std::filesystem::remove_all(dir_);
     ASSERT_TRUE(MakeDirectories(dir_).ok());
     options_.socket_path = dir_ + "/serve.sock";
     options_.threads = 4;

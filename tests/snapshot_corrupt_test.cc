@@ -33,20 +33,31 @@ TEST(SnapshotCorruptTest, ValidBaselineParses) {
   EXPECT_GT(snap->state->instance.NumFacts(), 0u);
 }
 
-class CorpusRejectionTest
-    : public ::testing::TestWithParam<std::pair<const char*, Status::Code>> {};
+// One corpus file and the status its load must fail with. Printed as the
+// quoted file name alone: a `const char*` nested in a pair would print
+// with its runtime address, giving the test a different name per run.
+struct RejectionCase {
+  const char* file;
+  Status::Code code;
+};
+
+void PrintTo(const RejectionCase& c, std::ostream* os) {
+  *os << '"' << c.file << '"';
+}
+
+class CorpusRejectionTest : public ::testing::TestWithParam<RejectionCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Files, CorpusRejectionTest,
     ::testing::Values(
-        std::make_pair("truncated_half.snap", Status::Code::kDataLoss),
-        std::make_pair("truncated_envelope.snap", Status::Code::kDataLoss),
-        std::make_pair("bitflip_payload.snap", Status::Code::kDataLoss),
-        std::make_pair("torn_write.snap", Status::Code::kDataLoss),
-        std::make_pair("future_version.snap", Status::Code::kUnsupported),
-        std::make_pair("wrong_magic.snap", Status::Code::kDataLoss),
-        std::make_pair("empty.snap", Status::Code::kDataLoss),
-        std::make_pair("garbage.snap", Status::Code::kDataLoss)));
+        RejectionCase{"truncated_half.snap", Status::Code::kDataLoss},
+        RejectionCase{"truncated_envelope.snap", Status::Code::kDataLoss},
+        RejectionCase{"bitflip_payload.snap", Status::Code::kDataLoss},
+        RejectionCase{"torn_write.snap", Status::Code::kDataLoss},
+        RejectionCase{"future_version.snap", Status::Code::kUnsupported},
+        RejectionCase{"wrong_magic.snap", Status::Code::kDataLoss},
+        RejectionCase{"empty.snap", Status::Code::kDataLoss},
+        RejectionCase{"garbage.snap", Status::Code::kDataLoss}));
 
 TEST_P(CorpusRejectionTest, RejectedWithTypedStatus) {
   auto [name, code] = GetParam();

@@ -27,12 +27,13 @@ bool NaiveCheckSo(const TermArena& arena, const Instance& instance,
   size_t num_entries = functions.size() * domain.size();
   std::vector<size_t> table(num_entries, 0);  // entry -> domain index
 
-  auto eval_term = [&](TermId t, const Assignment& assignment,
+  auto eval_term = [&](TermId t, const Matcher& body,
+                       std::span<const Value> binding,
                        auto&& self) -> Value {
-    if (arena.IsVariable(t)) return assignment.at(arena.symbol(t));
+    if (arena.IsVariable(t)) return binding[body.Slot(arena.symbol(t))];
     if (arena.IsConstant(t)) return Value::Constant(arena.symbol(t));
     FunctionId f = arena.symbol(t);
-    Value arg = self(arena.args(t)[0], assignment, self);
+    Value arg = self(arena.args(t)[0], body, binding, self);
     size_t f_index =
         std::find(functions.begin(), functions.end(), f) - functions.begin();
     size_t arg_index =
@@ -44,17 +45,17 @@ bool NaiveCheckSo(const TermArena& arena, const Instance& instance,
     for (const SoPart& part : so.parts) {
       Matcher body(&arena, &instance, part.body);
       bool part_ok = true;
-      body.ForEach({}, [&](const Assignment& assignment) {
+      body.ForEach({}, [&](std::span<const Value> binding) {
         for (const SoEquality& eq : part.equalities) {
-          if (eval_term(eq.lhs, assignment, eval_term) !=
-              eval_term(eq.rhs, assignment, eval_term)) {
+          if (eval_term(eq.lhs, body, binding, eval_term) !=
+              eval_term(eq.rhs, body, binding, eval_term)) {
             return true;  // antecedent false, trigger inactive
           }
         }
         for (const Atom& atom : part.head) {
           std::vector<Value> args;
           for (TermId t : atom.args) {
-            args.push_back(eval_term(t, assignment, eval_term));
+            args.push_back(eval_term(t, body, binding, eval_term));
           }
           if (!instance.Contains(atom.relation, args)) {
             part_ok = false;

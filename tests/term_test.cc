@@ -63,6 +63,15 @@ TEST_F(TermTest, DepthAndSize) {
   EXPECT_EQ(arena_.Size(gfx), 4u);
 }
 
+TEST_F(TermTest, DepthOfSharedTowerIsLinear) {
+  // f(t, t) two hundred times: 2^200 leaves with sharing expanded, depth
+  // 200. Depth is recorded at interning, so this is O(1) per call.
+  TermId t = Const("c");
+  for (int i = 0; i < 200; ++i) t = Fn("f", {t, t});
+  EXPECT_EQ(arena_.Depth(t), 200u);
+  EXPECT_EQ(arena_.Depth(arena_.args(t)[0]), 199u);
+}
+
 TEST_F(TermTest, GroundAndNested) {
   TermId x = Var("x");
   TermId c = Const("c");
