@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "analyze/lint.h"
+#include "base/fileio.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "chase/chase.h"
@@ -1351,6 +1352,16 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
     err << "tgdkit: --spill-dir is only supported by 'chase', 'certain' "
            "and 'explain'\n";
     return kExitUsage;
+  }
+  // The engine needs a usable spill directory before its first fact: an
+  // unusable one is an input error here, not a silently in-core run.
+  if (!ctx.limits.spill_dir.empty()) {
+    Status made = MakeDirectories(ctx.limits.spill_dir);
+    if (!made.ok()) {
+      err << "tgdkit: --spill-dir '" << ctx.limits.spill_dir
+          << "': " << made.ToString() << "\n";
+      return kExitInput;
+    }
   }
   // The command itself landed in positional[0]; drop it.
   if (!ctx.positional.empty() && ctx.positional[0] == command) {

@@ -241,8 +241,16 @@ Status MakeDirectories(const std::string& path) {
     if (slash == std::string::npos) slash = path.size();
     if (slash > start) {
       prefix.append(path, start, slash - start);
-      if (mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-        return IoError("cannot create directory", prefix);
+      if (mkdir(prefix.c_str(), 0755) != 0) {
+        if (errno != EEXIST) return IoError("cannot create directory", prefix);
+        struct stat st;
+        if (stat(prefix.c_str(), &st) != 0) {
+          return IoError("cannot stat", prefix);
+        }
+        if (!S_ISDIR(st.st_mode)) {
+          errno = ENOTDIR;
+          return IoError("cannot create directory", prefix);
+        }
       }
       prefix += '/';
     }

@@ -67,7 +67,8 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents);
 Status AppendLineDurable(const std::string& path, std::string_view line);
 
 /// mkdir -p: creates `path` and any missing ancestors. Ok if it already
-/// exists as a directory.
+/// exists as a directory; an error if it or an ancestor exists as
+/// anything else.
 Status MakeDirectories(const std::string& path);
 
 /// Reads a whole file. NotFound if it cannot be opened.

@@ -6,7 +6,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <utility>
 
@@ -71,60 +70,34 @@ void MergeCountRuns(std::vector<CountRun>* runs) {
 
 }  // namespace
 
-/// Out-of-core backend state. Sealed segments are immutable runs of
-/// rows_per_segment consecutive rows; the resident summaries (digest runs
-/// for dedup, frequency runs for exact per-value counts, per-position
-/// min/max for scan skipping) answer every query that does not need the
-/// actual tuples, and EnsureHot faults a segment's payload back from its
-/// file when one does.
+/// A sealed segment: rows_per_segment consecutive rows, immutable once
+/// sealed. Its payload is hot (resident in `flat`) or cold (only in its
+/// segment file); EnsureHot faults a cold payload back in.
+struct Instance::Segment {
+  std::vector<Value> flat;        // hot payload; empty when cold
+  std::vector<uint32_t> min_raw;  // per position, over the segment
+  std::vector<uint32_t> max_raw;
+  uint32_t crc32 = 0;             // payload CRC, set on flush
+  bool crc_valid = false;
+  bool dirty = true;              // content not yet on disk
+  std::atomic<bool> hot{true};
+  std::atomic<bool> accessed{true};  // second-chance bit
+
+  /// False when `value` falls outside the segment's range at `position`,
+  /// so a scan can skip the segment without faulting it in.
+  bool MayHold(uint32_t position, Value value) const {
+    return min_raw[position] <= value.raw() && value.raw() <= max_raw[position];
+  }
+};
+
+/// Store-wide spill state. The per-relation sealed prefixes (segments and
+/// their resident summaries) live in RelationData.
 struct Instance::SpillState {
-  struct Segment {
-    std::vector<Value> flat;        // hot payload; empty when cold
-    std::vector<uint32_t> min_raw;  // per position, over the segment
-    std::vector<uint32_t> max_raw;
-    uint32_t crc32 = 0;             // payload CRC, set on flush
-    bool crc_valid = false;
-    bool dirty = true;              // content not yet on disk
-    std::atomic<bool> hot{true};
-    std::atomic<bool> accessed{true};  // second-chance bit
-  };
-
-  struct Rel {
-    uint32_t arity = 0;
-    uint64_t rows_per_segment = 0;
-    uint64_t sealed_rows = 0;
-    std::deque<Segment> segments;  // deque: stable refs across seals
-    // Sorted runs of (hash32(tuple) << 32) | global_row over all sealed
-    // rows: probe by hash, verify candidates through EnsureHot.
-    std::vector<std::vector<uint64_t>> digest_runs;
-    // Per position, sorted runs of (value raw, count). Exact: the sum
-    // over runs plus the tail posting equals the in-core posting size.
-    std::vector<std::vector<CountRun>> count_runs;
-  };
-
-  /// Estimated fixed overhead per sealed segment (deque slot, flags,
-  /// vector headers) charged to the resident footprint.
+  /// Estimated fixed overhead per sealed segment (slot, flags, vector
+  /// headers) charged to the resident footprint.
   static constexpr uint64_t kSegmentMetaBytes = 96;
 
-  void RecomputeMetaBytes() {
-    uint64_t total = 0;
-    for (const auto& [rel, sr] : relations) {
-      for (const auto& run : sr.digest_runs) {
-        total += run.size() * sizeof(uint64_t);
-      }
-      for (const auto& pos_runs : sr.count_runs) {
-        for (const auto& run : pos_runs) {
-          total += run.size() * sizeof(uint64_t);
-        }
-      }
-      total += sr.segments.size() *
-               (kSegmentMetaBytes + uint64_t(sr.arity) * 2 * sizeof(uint32_t));
-    }
-    meta_bytes = total;
-  }
-
   SpillConfig config;
-  std::unordered_map<RelationId, Rel> relations;
   // Fault path synchronization: parallel matcher workers may fault the
   // same cold segment concurrently. Eviction runs in serial phases only,
   // so a payload observed hot stays valid for the phase.
@@ -152,30 +125,18 @@ Instance::Instance(const Instance& other) : vocab_(other.vocab_) {
 
 Instance& Instance::operator=(const Instance& other) {
   if (this == &other) return *this;
-  vocab_ = other.vocab_;
-  relations_.clear();
-  active_relations_.clear();
-  null_labels_ = other.null_labels_;
-  row_bytes_ = 0;
-  index_bytes_ = 0;
-  spill_.reset();
-  if (!other.spill_) {
-    relations_ = other.relations_;
-    active_relations_ = other.active_relations_;
-    row_bytes_ = other.row_bytes_;
-    index_bytes_ = other.index_bytes_;
-    return *this;
-  }
-  // Copying a spilled store materializes it in-core: re-adding the rows
-  // in relation activation order and row order reproduces row ids, null
-  // indexes and the activation order (there are no duplicates to skip).
+  // Re-adding the rows in relation activation order and row order
+  // reproduces row ids, null indexes, the activation order and the byte
+  // accounting (there are no duplicates to skip).
+  Instance copy(other.vocab_);
+  copy.null_labels_ = other.null_labels_;
   for (RelationId rel : other.active_relations_) {
     size_t n = other.NumTuples(rel);
     for (size_t row = 0; row < n; ++row) {
-      AddFact(rel, other.Tuple(rel, static_cast<uint32_t>(row)));
+      copy.AddFact(rel, other.Tuple(rel, static_cast<uint32_t>(row)));
     }
   }
-  return *this;
+  return *this = std::move(copy);
 }
 
 Instance::RelationData& Instance::GetOrCreate(RelationId relation) {
@@ -184,16 +145,10 @@ Instance::RelationData& Instance::GetOrCreate(RelationId relation) {
   RelationData& data = relations_[relation];
   data.arity = vocab_->RelationArity(relation);
   assert(data.arity >= 1 && "0-ary relations are not supported");
+  data.count_runs.resize(data.arity);
   data.position_index.resize(data.arity);
+  if (spill_) data.rows_per_segment = SpillRowsPerSegment(relation);
   active_relations_.push_back(relation);
-  if (spill_) {
-    SpillState::Rel& sr = spill_->relations[relation];
-    sr.arity = data.arity;
-    sr.rows_per_segment = std::max<uint64_t>(
-        1, spill_->config.segment_bytes / (uint64_t(data.arity) *
-                                           sizeof(Value)));
-    sr.count_runs.resize(data.arity);
-  }
   return data;
 }
 
@@ -207,15 +162,8 @@ bool Instance::AddFact(RelationId relation, std::span<const Value> args) {
   RelationData& data = GetOrCreate(relation);
   assert(args.size() == data.arity && "fact arity mismatch");
   size_t h = TupleHash(args);
-  if (spill_ && SealedContains(relation, data, h, args)) return false;
-  auto bucket_it = data.dedup.find(h);
-  if (bucket_it != data.dedup.end()) {
-    for (uint32_t row : bucket_it->second) {
-      const Value* tuple = data.flat.data() + size_t(row) * data.arity;
-      if (std::equal(args.begin(), args.end(), tuple)) return false;
-    }
-  }
-  uint32_t row = static_cast<uint32_t>(data.NumTuples());
+  if (Holds(relation, data, h, args)) return false;
+  uint32_t row = static_cast<uint32_t>(data.TailRows());
   data.flat.insert(data.flat.end(), args.begin(), args.end());
   std::vector<uint32_t>& bucket = data.dedup[h];
   if (bucket.empty()) index_bytes_ += kIndexNodeBytes;
@@ -228,7 +176,7 @@ bool Instance::AddFact(RelationId relation, std::span<const Value> args) {
     index_bytes_ += sizeof(uint32_t);
   }
   row_bytes_ += args.size() * sizeof(Value) + kRowOverheadBytes;
-  if (spill_) MaybeSeal(relation, data);
+  if (spill_) MaybeSeal(data);
   return true;
 }
 
@@ -238,15 +186,19 @@ bool Instance::Contains(RelationId relation,
   if (it == relations_.end()) return false;
   const RelationData& data = it->second;
   if (args.size() != data.arity) return false;
-  size_t h = TupleHash(args);
-  auto bucket_it = data.dedup.find(h);
+  return Holds(relation, data, TupleHash(args), args);
+}
+
+bool Instance::Holds(RelationId relation, const RelationData& data,
+                     size_t hash, std::span<const Value> args) const {
+  auto bucket_it = data.dedup.find(hash);
   if (bucket_it != data.dedup.end()) {
     for (uint32_t row : bucket_it->second) {
       const Value* tuple = data.flat.data() + size_t(row) * data.arity;
       if (std::equal(args.begin(), args.end(), tuple)) return true;
     }
   }
-  return spill_ && SealedContains(relation, data, h, args);
+  return data.sealed_rows != 0 && SealedContains(relation, data, hash, args);
 }
 
 Value Instance::FreshNull(std::string label) {
@@ -261,118 +213,108 @@ void Instance::EnsureNulls(uint32_t count) {
 
 size_t Instance::NumTuples(RelationId relation) const {
   auto it = relations_.find(relation);
-  size_t n = it == relations_.end() ? 0 : it->second.NumTuples();
-  if (spill_) {
-    auto sit = spill_->relations.find(relation);
-    if (sit != spill_->relations.end()) n += sit->second.sealed_rows;
-  }
-  return n;
+  return it == relations_.end() ? 0 : it->second.NumTuples();
 }
 
 size_t Instance::NumFacts() const {
   size_t total = 0;
   for (const auto& [rel, data] : relations_) total += data.NumTuples();
-  if (spill_) {
-    for (const auto& [rel, sr] : spill_->relations) total += sr.sealed_rows;
-  }
   return total;
 }
 
 std::span<const Value> Instance::Tuple(RelationId relation,
                                        uint32_t row) const {
   const RelationData& data = relations_.at(relation);
-  if (spill_) {
-    auto sit = spill_->relations.find(relation);
-    if (sit != spill_->relations.end() && row < sit->second.sealed_rows) {
-      const SpillState::Rel& sr = sit->second;
-      uint64_t segment = row / sr.rows_per_segment;
-      const std::vector<Value>& flat = EnsureHot(relation, segment);
-      uint64_t local = row % sr.rows_per_segment;
-      return {flat.data() + local * data.arity, data.arity};
-    }
-    if (sit != spill_->relations.end()) {
-      row -= static_cast<uint32_t>(sit->second.sealed_rows);
-    }
+  if (row < data.sealed_rows) {
+    const std::vector<Value>& flat =
+        EnsureHot(relation, data, row / data.rows_per_segment);
+    uint64_t local = row % data.rows_per_segment;
+    return {flat.data() + local * data.arity, data.arity};
   }
+  row -= static_cast<uint32_t>(data.sealed_rows);
   return {data.flat.data() + size_t(row) * data.arity, data.arity};
 }
 
-const std::vector<uint32_t>& Instance::RowsWithValue(RelationId relation,
-                                                     uint32_t position,
-                                                     Value value) const {
-  assert(!spill_ &&
-         "RowsWithValue is in-core only; use CountRowsWithValue / "
-         "CandidateRows on a spilled store");
+Instance::Postings Instance::FindPostings(RelationId relation,
+                                          uint32_t position,
+                                          Value value) const {
+  Postings out;
+  out.relation = relation;
+  out.position = position;
+  out.value = value;
   auto it = relations_.find(relation);
-  if (it == relations_.end()) return empty_rows_;
+  if (it == relations_.end()) return out;
   const RelationData& data = it->second;
   assert(position < data.arity);
-  auto vit = data.position_index[position].find(value);
-  if (vit == data.position_index[position].end()) return empty_rows_;
-  return vit->second;
-}
-
-size_t Instance::CountRowsWithValue(RelationId relation, uint32_t position,
-                                    Value value) const {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return 0;
-  const RelationData& data = it->second;
-  assert(position < data.arity);
-  size_t count = 0;
+  out.data = &data;
   auto vit = data.position_index[position].find(value);
   if (vit != data.position_index[position].end()) {
-    count += vit->second.size();
+    out.tail = &vit->second;
+    out.count = vit->second.size();
   }
-  if (spill_) {
-    auto sit = spill_->relations.find(relation);
-    if (sit != spill_->relations.end()) {
-      for (const CountRun& run : sit->second.count_runs[position]) {
-        auto p = std::lower_bound(run.begin(), run.end(),
-                                  std::make_pair(value.raw(), 0u));
-        if (p != run.end() && p->first == value.raw()) count += p->second;
-      }
-    }
+  if (data.sealed_rows == 0) return out;
+  for (const CountRun& run : data.count_runs[position]) {
+    auto p = std::lower_bound(run.begin(), run.end(),
+                              std::make_pair(value.raw(), 0u));
+    if (p != run.end() && p->first == value.raw()) out.count += p->second;
   }
-  return count;
+  return out;
 }
 
-void Instance::CandidateRows(RelationId relation, uint32_t position,
-                             Value value, std::vector<uint32_t>* out) const {
-  if (!spill_) {
-    const std::vector<uint32_t>& rows =
-        RowsWithValue(relation, position, value);
-    out->insert(out->end(), rows.begin(), rows.end());
-    return;
-  }
-  uint64_t sealed = 0;
-  auto sit = spill_->relations.find(relation);
-  if (sit != spill_->relations.end()) {
-    const SpillState::Rel& sr = sit->second;
-    sealed = sr.sealed_rows;
-    const uint32_t raw = value.raw();
-    for (uint64_t s = 0; s < sr.segments.size(); ++s) {
-      const SpillState::Segment& seg = sr.segments[s];
-      // Range skip without faulting: the segment cannot match when the
-      // value falls outside its per-position range.
-      if (raw < seg.min_raw[position] || raw > seg.max_raw[position]) {
-        continue;
-      }
-      const std::vector<Value>& flat = EnsureHot(relation, s);
-      const uint64_t base = s * sr.rows_per_segment;
-      for (uint64_t r = 0; r < sr.rows_per_segment; ++r) {
-        if (flat[r * sr.arity + position].raw() == raw) {
-          out->push_back(static_cast<uint32_t>(base + r));
-        }
+void Instance::CandidateRows(const Postings& best, const Postings* runner_up,
+                             uint32_t limit,
+                             std::vector<uint32_t>* out) const {
+  if (best.count == 0) return;
+  const RelationData& data = *best.data;
+  const Postings& second = runner_up != nullptr ? *runner_up : best;
+  for (uint64_t s = 0, base = 0; base < data.sealed_rows && base < limit;
+       ++s, base += data.rows_per_segment) {
+    const Segment& seg = *data.segments[s];
+    if (!seg.MayHold(best.position, best.value) ||
+        !seg.MayHold(second.position, second.value)) {
+      continue;
+    }
+    const std::vector<Value>& flat = EnsureHot(best.relation, data, s);
+    const uint64_t end =
+        std::min<uint64_t>(data.rows_per_segment, limit - base);
+    for (uint64_t r = 0; r < end; ++r) {
+      const Value* tuple = flat.data() + r * data.arity;
+      if (tuple[best.position] == best.value &&
+          tuple[second.position] == second.value) {
+        out->push_back(static_cast<uint32_t>(base + r));
       }
     }
   }
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return;
-  const RelationData& data = it->second;
-  auto vit = data.position_index[position].find(value);
-  if (vit == data.position_index[position].end()) return;
-  for (uint32_t r : vit->second) {
-    out->push_back(static_cast<uint32_t>(sealed + r));
+  if (best.tail == nullptr || limit <= data.sealed_rows) return;
+  // The tail's posting lists hold tail-local row ids: cut them at the
+  // window, then shift them past the sealed prefix.
+  const uint32_t offset = static_cast<uint32_t>(data.sealed_rows);
+  const uint32_t tail_limit = limit - offset;
+  const std::vector<uint32_t>& a = *best.tail;
+  const size_t first = out->size();
+  if (runner_up == nullptr) {
+    out->insert(out->end(), a.begin(),
+                std::lower_bound(a.begin(), a.end(), tail_limit));
+  } else if (runner_up->tail != nullptr) {
+    // Two-pointer intersection; ascending like both inputs, so the
+    // candidate order is unchanged (rows dropped here would have failed
+    // the probe anyway).
+    const std::vector<uint32_t>& b = *runner_up->tail;
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size() && a[i] < tail_limit) {
+      if (a[i] < b[j]) {
+        ++i;
+      } else if (b[j] < a[i]) {
+        ++j;
+      } else {
+        out->push_back(a[i]);
+        ++i;
+        ++j;
+      }
+    }
+  }
+  if (offset != 0) {
+    for (size_t i = first; i < out->size(); ++i) (*out)[i] += offset;
   }
 }
 
@@ -383,16 +325,12 @@ std::vector<Value> Instance::ActiveDomain() const {
     for (Value v : data.flat) {
       if (seen.insert(v.raw()).second) out.push_back(v);
     }
-  }
-  if (spill_) {
-    // Sealed values are exactly the keys of the frequency runs — no
-    // faulting needed to enumerate the active domain.
-    for (const auto& [rel, sr] : spill_->relations) {
-      for (const auto& pos_runs : sr.count_runs) {
-        for (const CountRun& run : pos_runs) {
-          for (const auto& [raw, count] : run) {
-            if (seen.insert(raw).second) out.push_back(Value::FromRaw(raw));
-          }
+    // Sealed values are exactly the keys of the frequency runs: no
+    // faulting needed to enumerate them.
+    for (const auto& pos_runs : data.count_runs) {
+      for (const CountRun& run : pos_runs) {
+        for (const auto& [raw, count] : run) {
+          if (seen.insert(raw).second) out.push_back(Value::FromRaw(raw));
         }
       }
     }
@@ -538,32 +476,26 @@ uint64_t Instance::SpillResidentBytes() const {
 bool Instance::SealedContains(RelationId relation, const RelationData& data,
                               size_t hash,
                               std::span<const Value> args) const {
-  auto sit = spill_->relations.find(relation);
-  if (sit == spill_->relations.end() || sit->second.sealed_rows == 0) {
-    return false;
-  }
-  const SpillState::Rel& sr = sit->second;
   const uint32_t hash32 = Hash32(hash);
   const uint64_t probe = uint64_t(hash32) << 32;
-  for (const std::vector<uint64_t>& run : sr.digest_runs) {
+  for (const std::vector<uint64_t>& run : data.digest_runs) {
     for (auto p = std::lower_bound(run.begin(), run.end(), probe);
          p != run.end() && (*p >> 32) == hash32; ++p) {
       const uint64_t row = *p & 0xffffffffull;
       const std::vector<Value>& flat =
-          EnsureHot(relation, row / sr.rows_per_segment);
+          EnsureHot(relation, data, row / data.rows_per_segment);
       const Value* tuple =
-          flat.data() + (row % sr.rows_per_segment) * data.arity;
+          flat.data() + (row % data.rows_per_segment) * data.arity;
       if (std::equal(args.begin(), args.end(), tuple)) return true;
     }
   }
   return false;
 }
 
-void Instance::MaybeSeal(RelationId relation, RelationData& data) {
-  SpillState::Rel& sr = spill_->relations.at(relation);
-  if (data.NumTuples() < sr.rows_per_segment) return;
+void Instance::MaybeSeal(RelationData& data) {
+  if (data.TailRows() < data.rows_per_segment) return;
   const uint32_t arity = data.arity;
-  const uint64_t rows = sr.rows_per_segment;
+  const uint64_t rows = data.rows_per_segment;
 
   // The sealed rows leave the tail: uncharge exactly what AddFact charged
   // for them and their dedup/posting entries.
@@ -581,11 +513,11 @@ void Instance::MaybeSeal(RelationId relation, RelationData& data) {
   for (uint64_t r = 0; r < rows; ++r) {
     const Value* tuple = data.flat.data() + r * arity;
     size_t h = TupleHash({tuple, arity});
-    digest.push_back((uint64_t(Hash32(h)) << 32) | (sr.sealed_rows + r));
+    digest.push_back((uint64_t(Hash32(h)) << 32) | (data.sealed_rows + r));
   }
   std::sort(digest.begin(), digest.end());
-  sr.digest_runs.push_back(std::move(digest));
-  MergeDigestRuns(&sr.digest_runs);
+  data.digest_runs.push_back(std::move(digest));
+  MergeDigestRuns(&data.digest_runs);
 
   // Frequency run per position, read off the tail posting lists before
   // they are cleared.
@@ -596,13 +528,13 @@ void Instance::MaybeSeal(RelationId relation, RelationData& data) {
       run.emplace_back(value.raw(), static_cast<uint32_t>(posting.size()));
     }
     std::sort(run.begin(), run.end());
-    sr.count_runs[pos].push_back(std::move(run));
-    MergeCountRuns(&sr.count_runs[pos]);
+    data.count_runs[pos].push_back(std::move(run));
+    MergeCountRuns(&data.count_runs[pos]);
   }
 
   // Seal: the tail's flat becomes the segment's hot payload.
-  sr.segments.emplace_back();
-  SpillState::Segment& seg = sr.segments.back();
+  data.segments.push_back(std::make_unique<Segment>());
+  Segment& seg = *data.segments.back();
   seg.flat = std::move(data.flat);
   seg.min_raw.assign(arity, 0xffffffffu);
   seg.max_raw.assign(arity, 0);
@@ -616,12 +548,25 @@ void Instance::MaybeSeal(RelationId relation, RelationData& data) {
   data.flat.clear();
   data.dedup.clear();
   for (auto& m : data.position_index) m.clear();
-  sr.sealed_rows += rows;
+  data.sealed_rows += rows;
   spill_->hot_bytes.fetch_add(rows * uint64_t(arity) * sizeof(Value),
                               std::memory_order_relaxed);
   ++spill_->sealed_segments;
   spill_->spilled_bytes += SegmentPayloadBytes(rows, arity);
-  spill_->RecomputeMetaBytes();
+
+  // Resident summaries: digest and count runs plus per-segment metadata.
+  uint64_t meta = 0;
+  for (const auto& [rel, rd] : relations_) {
+    for (const auto& run : rd.digest_runs) {
+      meta += run.size() * sizeof(uint64_t);
+    }
+    for (const auto& pos_runs : rd.count_runs) {
+      for (const auto& run : pos_runs) meta += run.size() * sizeof(uint64_t);
+    }
+    meta += rd.segments.size() * (SpillState::kSegmentMetaBytes +
+                                  uint64_t(rd.arity) * 2 * sizeof(uint32_t));
+  }
+  spill_->meta_bytes = meta;
 
   // Soft cap: sealing is a serial safe point, so relieve pressure here
   // (the governor's pressure hook covers the polling path).
@@ -632,9 +577,9 @@ void Instance::MaybeSeal(RelationId relation, RelationData& data) {
 }
 
 const std::vector<Value>& Instance::EnsureHot(RelationId relation,
+                                              const RelationData& data,
                                               uint64_t segment) const {
-  SpillState::Rel& sr = spill_->relations.at(relation);
-  SpillState::Segment& seg = sr.segments[segment];
+  Segment& seg = *data.segments[segment];
   if (seg.hot.load(std::memory_order_acquire)) {
     seg.accessed.store(true, std::memory_order_relaxed);
     return seg.flat;
@@ -649,7 +594,8 @@ const std::vector<Value>& Instance::EnsureHot(RelationId relation,
           SegmentFileName(relation, static_cast<uint32_t>(segment)));
   auto loaded = LoadSegment(path);
   if (!loaded.ok() || loaded->relation_index != relation ||
-      loaded->arity != sr.arity || loaded->rows() != sr.rows_per_segment) {
+      loaded->arity != data.arity ||
+      loaded->rows() != data.rows_per_segment) {
     // A segment file this store wrote (and fsynced) is unreadable or
     // swapped. The tuple read path has no Status channel and continuing
     // would silently drop facts, so fail loudly and definitely — defined
@@ -675,8 +621,8 @@ const std::vector<Value>& Instance::EnsureHot(RelationId relation,
 }
 
 bool Instance::FlushSegment(RelationId relation, uint64_t segment) const {
-  SpillState::Rel& sr = spill_->relations.at(relation);
-  SpillState::Segment& seg = sr.segments[segment];
+  const RelationData& data = relations_.at(relation);
+  Segment& seg = *data.segments[segment];
   if (!seg.dirty) return true;
   assert(seg.hot.load(std::memory_order_acquire) &&
          "a dirty segment always has its payload resident");
@@ -684,7 +630,7 @@ bool Instance::FlushSegment(RelationId relation, uint64_t segment) const {
   words.reserve(seg.flat.size());
   for (Value v : seg.flat) words.push_back(v.raw());
   std::string bytes =
-      SerializeSegment(relation, sr.arity, words.data(), words.size());
+      SerializeSegment(relation, data.arity, words.data(), words.size());
   std::string path =
       Cat(spill_->config.dir, "/",
           SegmentFileName(relation, static_cast<uint32_t>(segment)));
@@ -703,9 +649,7 @@ bool Instance::FlushSegment(RelationId relation, uint64_t segment) const {
 Status Instance::FlushDirtySegments() const {
   if (!spill_) return Status::Ok();
   for (RelationId rel : active_relations_) {
-    auto sit = spill_->relations.find(rel);
-    if (sit == spill_->relations.end()) continue;
-    for (uint64_t s = 0; s < sit->second.segments.size(); ++s) {
+    for (uint64_t s = 0; s < relations_.at(rel).segments.size(); ++s) {
       if (!FlushSegment(rel, s)) return spill_->io_error;
     }
   }
@@ -719,9 +663,7 @@ uint64_t Instance::EvictToBudget(uint64_t target_bytes) {
   // recently-used segment clears its accessed bit; the second evicts it.
   std::vector<std::pair<RelationId, uint64_t>> order;
   for (RelationId rel : active_relations_) {
-    auto sit = spill_->relations.find(rel);
-    if (sit == spill_->relations.end()) continue;
-    for (uint64_t s = 0; s < sit->second.segments.size(); ++s) {
+    for (uint64_t s = 0; s < relations_.at(rel).segments.size(); ++s) {
       order.emplace_back(rel, s);
     }
   }
@@ -732,7 +674,7 @@ uint64_t Instance::EvictToBudget(uint64_t target_bytes) {
        step < 2 * order.size() && ApproxBytes() > target_bytes; ++step) {
     auto [rel, seg_index] = order[hand];
     hand = (hand + 1) % order.size();
-    SpillState::Segment& seg = spill_->relations.at(rel).segments[seg_index];
+    Segment& seg = *relations_.at(rel).segments[seg_index];
     if (!seg.hot.load(std::memory_order_acquire)) continue;
     if (seg.accessed.exchange(false, std::memory_order_relaxed)) continue;
     // Persist before dropping; a failed write (e.g. ENOSPC) keeps the
@@ -751,19 +693,18 @@ uint64_t Instance::EvictToBudget(uint64_t target_bytes) {
 }
 
 void Instance::MarkAllSealedClean() {
-  if (!spill_) return;
-  for (auto& [rel, sr] : spill_->relations) {
-    for (SpillState::Segment& seg : sr.segments) {
-      if (!seg.dirty) continue;
-      assert(seg.hot.load(std::memory_order_acquire));
-      if (!seg.crc_valid) {
+  for (auto& [rel, data] : relations_) {
+    for (const std::unique_ptr<Segment>& seg : data.segments) {
+      if (!seg->dirty) continue;
+      assert(seg->hot.load(std::memory_order_acquire));
+      if (!seg->crc_valid) {
         std::vector<uint32_t> words;
-        words.reserve(seg.flat.size());
-        for (Value v : seg.flat) words.push_back(v.raw());
-        seg.crc32 = SegmentPayloadCrc(words.data(), words.size());
-        seg.crc_valid = true;
+        words.reserve(seg->flat.size());
+        for (Value v : seg->flat) words.push_back(v.raw());
+        seg->crc32 = SegmentPayloadCrc(words.data(), words.size());
+        seg->crc_valid = true;
       }
-      seg.dirty = false;
+      seg->dirty = false;
     }
   }
 }
@@ -789,30 +730,23 @@ uint64_t Instance::SpillSegmentBytes() const {
 }
 
 uint64_t Instance::SpillRowsPerSegment(RelationId relation) const {
-  auto sit = spill_->relations.find(relation);
-  if (sit != spill_->relations.end()) return sit->second.rows_per_segment;
   uint32_t arity = vocab_->RelationArity(relation);
   return std::max<uint64_t>(
       1, spill_->config.segment_bytes / (uint64_t(arity) * sizeof(Value)));
 }
 
-uint64_t Instance::SpillSealedRows(RelationId relation) const {
-  auto sit = spill_->relations.find(relation);
-  return sit == spill_->relations.end() ? 0 : sit->second.sealed_rows;
-}
-
 uint64_t Instance::SpillSealedSegments(RelationId relation) const {
-  auto sit = spill_->relations.find(relation);
-  return sit == spill_->relations.end() ? 0 : sit->second.segments.size();
+  auto it = relations_.find(relation);
+  return it == relations_.end() ? 0 : it->second.segments.size();
 }
 
 Instance::SealedSegmentInfo Instance::SpillSegmentInfo(
     RelationId relation, uint64_t segment) const {
-  const SpillState::Rel& sr = spill_->relations.at(relation);
-  const SpillState::Segment& seg = sr.segments[segment];
+  const RelationData& data = relations_.at(relation);
+  const Segment& seg = *data.segments[segment];
   SealedSegmentInfo info;
   info.filename = SegmentFileName(relation, static_cast<uint32_t>(segment));
-  info.rows = sr.rows_per_segment;
+  info.rows = data.rows_per_segment;
   assert(seg.crc_valid && "SpillSegmentInfo requires a flushed segment");
   info.crc32 = seg.crc32;
   return info;

@@ -2,20 +2,20 @@
 // with per-position value indexes to support homomorphism search and the
 // chase. Facts are deduplicated on insertion.
 //
-// Two storage modes share this interface:
-//
-//  * In-core (default): all tuples in flat row-major vectors with full
-//    dedup and per-position posting lists. Unchanged semantics.
-//  * Out-of-core (EnableSpill): each relation's rows are split into
-//    sealed fixed-size immutable segments plus an in-core mutable tail.
-//    Sealed segments live in an LRU-style pool of hot in-memory payloads
-//    and are persisted to individually CRC-protected, atomically renamed
-//    files under the spill directory, so the store survives SIGKILL at
-//    any point and `--max-memory-mb` pressure is relieved by evicting
-//    cold segments instead of stopping the run. Resident per sealed row
-//    is only a hash digest plus a value-frequency summary (~9 bytes/row),
-//    which is what makes instances ~10x the byte budget chaseable. See
-//    docs/STORAGE.md for the full design and the crash-safety argument.
+// Each relation is one record: a sealed prefix of fixed-size immutable
+// segments, then a mutable tail of flat row-major rows with dedup buckets
+// and per-position posting lists. Every read goes through that one shape.
+// By default nothing seals, so the whole relation is the tail (the
+// in-core store). After EnableSpill the tail seals into a segment each
+// time it reaches the segment row count. Sealed segments live in an
+// LRU-style pool of hot in-memory payloads and are persisted to
+// individually CRC-protected, atomically renamed files under the spill
+// directory, so the store survives SIGKILL at any point and
+// `--max-memory-mb` pressure is relieved by evicting cold segments
+// instead of stopping the run. Resident per sealed row is only a hash
+// digest plus a value-frequency summary (~9 bytes/row), which is what
+// makes instances ~10x the byte budget chaseable. See docs/STORAGE.md for
+// the full design and the crash-safety argument.
 #pragma once
 
 #include <cstdint>
@@ -71,16 +71,19 @@ struct Fact {
 /// A finite database instance over a Vocabulary's relations.
 ///
 /// Tuples are stored row-major per relation; row ids are stable (facts are
-/// never removed in place — RemoveFacts rebuilds). Per-position indexes are
-/// maintained incrementally on insertion.
+/// never removed). Per-position indexes are maintained incrementally on
+/// insertion.
 class Instance {
+ private:
+  struct RelationData;
+
  public:
   explicit Instance(const Vocabulary* vocab);
   ~Instance();
 
-  /// Copying a spill-enabled instance materializes a plain in-core copy
-  /// (same rows, row ids, null indexes and relation activation order);
-  /// copying an in-core instance is a memberwise deep copy as before.
+  /// A copy holds the same rows, row ids, null indexes and relation
+  /// activation order, all in-core: a spilled store's segments stay with
+  /// the store that owns the spill directory.
   Instance(const Instance& other);
   Instance& operator=(const Instance& other);
   Instance(Instance&& other) noexcept;
@@ -97,20 +100,31 @@ class Instance {
   Status EnableSpill(const SpillConfig& config);
   bool spill_enabled() const { return spill_ != nullptr; }
 
-  /// Exact number of rows of `relation` whose `position`-th entry equals
-  /// `value`, in either mode. In spill mode this is answered from the
-  /// resident frequency summary without touching cold segments, and
-  /// matches what RowsWithValue().size() would report in-core — join
-  /// orders chosen from these counts are mode-independent.
-  size_t CountRowsWithValue(RelationId relation, uint32_t position,
-                            Value value) const;
+  /// The rows of one relation whose `position`-th entry equals `value`:
+  /// their exact number, and where CandidateRows finds them. Valid until
+  /// the instance next changes.
+  struct Postings {
+    size_t count = 0;
+    RelationId relation = kInvalidSymbol;
+    uint32_t position = 0;
+    Value value;
+    const RelationData* data = nullptr;           // null: no such relation
+    const std::vector<uint32_t>* tail = nullptr;  // tail-local row ids
+  };
 
-  /// Appends to `out` the ascending row ids of tuples of `relation`
-  /// whose `position`-th entry equals `value` (both modes; spill mode
-  /// scans sealed segments, skipping those whose per-position value
-  /// range excludes `value`, then appends the tail's posting list).
-  void CandidateRows(RelationId relation, uint32_t position, Value value,
-                     std::vector<uint32_t>* out) const;
+  /// One lookup: the tail's posting list plus the sealed rows' count from
+  /// the resident frequency runs, so no segment is touched and the count
+  /// does not depend on how much of the relation has sealed.
+  Postings FindPostings(RelationId relation, uint32_t position,
+                        Value value) const;
+
+  /// Appends to `out` the ascending row ids below `limit` in `best`, and
+  /// also in `runner_up` when it is given (another position of the same
+  /// relation). Sealed segments are scanned in row order, skipping those
+  /// whose per-position value range excludes either value; the tail
+  /// copies or intersects its posting lists.
+  void CandidateRows(const Postings& best, const Postings* runner_up,
+                     uint32_t limit, std::vector<uint32_t>* out) const;
 
   /// Persists every sealed segment that has not reached disk yet
   /// (AtomicWriteFile per segment). Called before a snapshot is
@@ -145,7 +159,6 @@ class Instance {
   };
   uint64_t SpillSegmentBytes() const;
   uint64_t SpillRowsPerSegment(RelationId relation) const;
-  uint64_t SpillSealedRows(RelationId relation) const;
   uint64_t SpillSealedSegments(RelationId relation) const;
   SealedSegmentInfo SpillSegmentInfo(RelationId relation,
                                      uint64_t segment) const;
@@ -180,14 +193,6 @@ class Instance {
   /// The `row`-th tuple of `relation`.
   std::span<const Value> Tuple(RelationId relation, uint32_t row) const;
 
-  /// Row ids of tuples in `relation` whose `position`-th entry equals
-  /// `value` (empty if none). In-core mode only: a spilled store keeps no
-  /// global posting lists — use CountRowsWithValue / CandidateRows, which
-  /// work in both modes (checked by assert).
-  const std::vector<uint32_t>& RowsWithValue(RelationId relation,
-                                             uint32_t position,
-                                             Value value) const;
-
   /// Relations with at least one tuple, in first-insertion order.
   const std::vector<RelationId>& ActiveRelations() const {
     return active_relations_;
@@ -199,29 +204,13 @@ class Instance {
   /// All facts, materialized (for tests and small instances).
   std::vector<Fact> AllFacts() const;
 
-  /// Rebuilds this instance keeping only facts for which `keep` is true.
-  /// In-core mode only (no caller rebuilds a spilled store in place).
-  template <typename Pred>
-  void RemoveFacts(Pred keep) {
-    assert(!spill_enabled() && "RemoveFacts is unsupported on a spilled store");
-    std::vector<Fact> kept;
-    for (const Fact& f : AllFacts()) {
-      if (keep(f)) kept.push_back(f);
-    }
-    relations_.clear();
-    active_relations_.clear();
-    row_bytes_ = 0;
-    index_bytes_ = 0;
-    for (const Fact& f : kept) AddFact(f);
-  }
-
   /// Approximate heap footprint in bytes, for memory-budget accounting
-  /// (ResourceGovernor memory source). Maintained incrementally: tuple
-  /// storage, the dedup + per-position index structures (see IndexBytes),
-  /// and null bookkeeping. In spill mode this counts only the RESIDENT
-  /// footprint — the mutable tail, hot segment payloads and the sealed
-  /// digest/frequency summaries — not cold bytes on disk, so evicting
-  /// segments genuinely relieves the governor's byte budget.
+  /// (ResourceGovernor memory source). Maintained incrementally: tail
+  /// rows, the tail's dedup + per-position index structures (see
+  /// IndexBytes), and null bookkeeping. Sealed rows count only their
+  /// RESIDENT footprint — hot segment payloads and the digest/frequency
+  /// summaries — not cold bytes on disk, so evicting segments genuinely
+  /// relieves the governor's byte budget.
   uint64_t ApproxBytes() const {
     return row_bytes_ + index_bytes_ +
            null_labels_.size() * kNullOverheadBytes +
@@ -251,8 +240,30 @@ class Instance {
   std::string ValueToString(Value v) const;
 
  private:
+  /// A sealed, immutable run of rows_per_segment rows (instance.cc).
+  struct Segment;
+  using CountRun = std::vector<std::pair<uint32_t, uint32_t>>;
+
+  /// One relation: rows [0, sealed_rows) in sealed segments, the rest in
+  /// the mutable tail. The sealed prefix stays empty unless spill is
+  /// enabled.
   struct RelationData {
     uint32_t arity = 0;
+
+    // Sealed prefix.
+    uint64_t rows_per_segment = 0;  // set when spill is enabled
+    uint64_t sealed_rows = 0;
+    // Const reads fault payloads in through these pointers: that changes
+    // caching state, never logical content.
+    std::vector<std::unique_ptr<Segment>> segments;
+    // Sorted runs of (hash32(tuple) << 32) | row over all sealed rows:
+    // probe by hash, verify candidates through EnsureHot (dedup only).
+    std::vector<std::vector<uint64_t>> digest_runs;
+    // Per position, sorted runs of (value raw, count). Exact: the sum
+    // over runs plus the tail posting size is the relation's count.
+    std::vector<std::vector<CountRun>> count_runs;
+
+    // Mutable tail; its row ids are tail-local (global - sealed_rows).
     std::vector<Value> flat;  // row-major tuples
     // tuple hash -> row ids with that hash (dedup)
     std::unordered_map<size_t, std::vector<uint32_t>> dedup;
@@ -260,7 +271,8 @@ class Instance {
     std::vector<std::unordered_map<Value, std::vector<uint32_t>, ValueHash>>
         position_index;
 
-    size_t NumTuples() const { return flat.size() / arity; }
+    size_t TailRows() const { return flat.size() / arity; }
+    size_t NumTuples() const { return sealed_rows + TailRows(); }
   };
 
   struct SpillState;
@@ -268,12 +280,18 @@ class Instance {
   RelationData& GetOrCreate(RelationId relation);
   static size_t TupleHash(std::span<const Value> args);
 
-  /// Spill-mode internals (defined with SpillState in instance.cc).
+  /// True iff the tail or the sealed prefix holds `args` (whose tuple
+  /// hash is `hash`).
+  bool Holds(RelationId relation, const RelationData& data, size_t hash,
+             std::span<const Value> args) const;
+
+  /// Sealed-prefix internals (defined with SpillState in instance.cc).
   uint64_t SpillResidentBytes() const;
   bool SealedContains(RelationId relation, const RelationData& data,
                       size_t hash, std::span<const Value> args) const;
-  void MaybeSeal(RelationId relation, RelationData& data);
+  void MaybeSeal(RelationData& data);
   const std::vector<Value>& EnsureHot(RelationId relation,
+                                      const RelationData& data,
                                       uint64_t segment) const;
   bool FlushSegment(RelationId relation, uint64_t segment) const;
 
@@ -287,12 +305,12 @@ class Instance {
   std::unordered_map<RelationId, RelationData> relations_;
   std::vector<RelationId> active_relations_;
   std::vector<std::string> null_labels_;
-  std::vector<uint32_t> empty_rows_;
   uint64_t row_bytes_ = 0;
   uint64_t index_bytes_ = 0;
-  // Out-of-core backend state; null in the (default) in-core mode.
-  // Mutable: faulting a cold segment back in from a const read path
-  // (Tuple, CandidateRows) changes caching state, never logical content.
+  // Store-wide spill state (config, I/O counters, eviction clock); null
+  // until EnableSpill. Mutable: faulting a cold segment back in from a
+  // const read path (Tuple, CandidateRows) changes caching state, never
+  // logical content.
   mutable std::unique_ptr<SpillState> spill_;
 };
 

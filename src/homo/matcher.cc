@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 
 namespace tgdkit {
 
@@ -10,27 +11,6 @@ namespace {
 // Below this candidate count a second index lookup costs more than the
 // BindTuple probes it would save.
 constexpr size_t kIntersectThreshold = 16;
-
-// Two-pointer intersection of two ascending posting lists, cut at
-// `limit` and appended to `out`; the result is ascending, so candidate
-// enumeration order is unchanged (rows dropped here would have failed
-// BindTuple anyway).
-void IntersectAscending(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b, uint32_t limit,
-                        std::vector<uint32_t>* out) {
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size() && a[i] < limit) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out->push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
 
 }  // namespace
 
@@ -76,19 +56,19 @@ int Matcher::PickNextAtom(const std::vector<Value>& binding,
     if (done[i]) continue;
     const AtomPlan& plan = plans_[i];
     // Cost estimate: candidate rows through the most selective bound
-    // position, or the full relation when nothing is bound.
-    // CountRowsWithValue is exact in both storage modes (in-core it IS
-    // the posting-list size), so join-order choices — and therefore the
-    // match enumeration order and null numbering — are mode-independent.
-    // Windows never enter the estimate: a windowed search keeps the
-    // unwindowed join order.
+    // position, or the full relation when nothing is bound. Counts are
+    // exact however much of the relation has sealed, so join orders, the
+    // match order and null numbering do not depend on spilling. Windows
+    // never enter the estimate: a windowed search keeps the unwindowed
+    // join order.
     size_t cost = instance_->NumTuples(plan.relation);
     for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
       const ArgSlot& slot = plan.slots[pos];
       Value bound = slot.is_variable ? binding[slot.local_var] : slot.constant;
       if (!bound.valid()) continue;
-      size_t rows = instance_->CountRowsWithValue(
-          plan.relation, static_cast<uint32_t>(pos), bound);
+      size_t rows = instance_->FindPostings(plan.relation,
+                                            static_cast<uint32_t>(pos), bound)
+                        .count;
       if (rows < cost) cost = rows;
     }
     if (cost < best_cost) {
@@ -102,72 +82,34 @@ int Matcher::PickNextAtom(const std::vector<Value>& binding,
 Matcher::Candidates Matcher::FindCandidates(const AtomPlan& plan,
                                             uint32_t limit,
                                             SearchState* state) const {
-  const std::vector<Value>& binding = state->binding;
-  std::vector<uint32_t>& stack = state->candidates;
-  Candidates out;
-  out.begin = stack.size();
-  if (instance_->spill_enabled()) {
-    // Spilled store: no global posting lists to point into. Pick the most
-    // selective bound position by exact count (the same strict-< rule as
-    // below) and materialize its ascending candidate rows. No runner-up
-    // intersection: BindTuple fully verifies every candidate, so
-    // enumerating an ascending superset emits the identical match
-    // sequence — intersection only ever saved probes, never changed
-    // results.
-    int best_pos = -1;
-    size_t best_count = std::numeric_limits<size_t>::max();
-    Value best_value;
-    for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
-      const ArgSlot& slot = plan.slots[pos];
-      Value bound = slot.is_variable ? binding[slot.local_var] : slot.constant;
-      if (!bound.valid()) continue;
-      size_t count = instance_->CountRowsWithValue(
-          plan.relation, static_cast<uint32_t>(pos), bound);
-      if (count < best_count) {
-        best_count = count;
-        best_pos = static_cast<int>(pos);
-        best_value = bound;
-      }
-    }
-    if (best_pos >= 0) {
-      instance_->CandidateRows(plan.relation, static_cast<uint32_t>(best_pos),
-                               best_value, &stack);
-      stack.erase(std::lower_bound(stack.begin() + out.begin, stack.end(),
-                                   limit),
-                  stack.end());
-      out.count = stack.size() - out.begin;
-      return out;
-    }
-  } else {
-    const std::vector<uint32_t>* best = nullptr;
-    const std::vector<uint32_t>* second = nullptr;
-    for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
-      const ArgSlot& slot = plan.slots[pos];
-      Value bound = slot.is_variable ? binding[slot.local_var] : slot.constant;
-      if (!bound.valid()) continue;
-      const std::vector<uint32_t>& candidate = instance_->RowsWithValue(
-          plan.relation, static_cast<uint32_t>(pos), bound);
-      if (best == nullptr || candidate.size() < best->size()) {
-        second = best;
-        best = &candidate;
-      } else if (second == nullptr || candidate.size() < second->size()) {
-        second = &candidate;
-      }
-    }
-    if (best != nullptr) {
-      if (second != nullptr && second != best &&
-          best->size() > kIntersectThreshold) {
-        IntersectAscending(*best, *second, limit, &stack);
-      } else {
-        stack.insert(stack.end(), best->begin(),
-                     std::lower_bound(best->begin(), best->end(), limit));
-      }
-      out.count = stack.size() - out.begin;
-      return out;
+  // The most selective bound position and the runner-up, by exact count:
+  // strict <, so ties keep the earlier position.
+  std::optional<Instance::Postings> best, second;
+  for (size_t pos = 0; pos < plan.slots.size(); ++pos) {
+    const ArgSlot& slot = plan.slots[pos];
+    Value bound =
+        slot.is_variable ? state->binding[slot.local_var] : slot.constant;
+    if (!bound.valid()) continue;
+    Instance::Postings candidate = instance_->FindPostings(
+        plan.relation, static_cast<uint32_t>(pos), bound);
+    if (!best || candidate.count < best->count) {
+      second = best;
+      best = candidate;
+    } else if (!second || candidate.count < second->count) {
+      second = candidate;
     }
   }
-  out.scan = true;
-  out.count = std::min<size_t>(instance_->NumTuples(plan.relation), limit);
+  Candidates out;
+  out.begin = state->candidates.size();
+  if (!best) {
+    out.scan = true;
+    out.count = std::min<size_t>(instance_->NumTuples(plan.relation), limit);
+    return out;
+  }
+  const bool intersect = second && best->count > kIntersectThreshold;
+  instance_->CandidateRows(*best, intersect ? &*second : nullptr, limit,
+                           &state->candidates);
+  out.count = state->candidates.size() - out.begin;
   return out;
 }
 

@@ -8,18 +8,18 @@
 // grounding).
 //
 // Candidate rows at every search depth come from the instance's
-// per-predicate, per-position hash indexes: the most selective bound
-// position's posting list, intersected with the second-most-selective one
-// when that pays for itself. A full relation scan only remains for an atom
+// per-predicate, per-position indexes: the most selective bound
+// position's rows, intersected with the second-most-selective one's when
+// that pays for itself. A full relation scan only remains for an atom
 // with no bound position at all (the unavoidable first atom of a
 // completely unconstrained query).
 //
-// Against a spill-enabled instance (Instance::EnableSpill) the same
-// search runs over segment scans instead of posting lists: join orders
-// come from the exact CountRowsWithValue counts (identical to in-core
-// posting sizes) and candidates from CandidateRows, so the match
-// sequence — and everything downstream, null numbering included — is
-// byte-identical across storage modes.
+// The search has one path whether or not the instance spills
+// (Instance::EnableSpill). Join orders and the intersection choice come
+// from exact counts, and Instance::CandidateRows returns the same
+// ascending rows from sealed segments as from the in-core tail. So the
+// probes, their step charges and the match sequence (null numbering
+// included) do not depend on the storage mode.
 //
 // Thread model: a Matcher is immutable after construction and all search
 // entry points are const, so one Matcher may run any number of concurrent
@@ -215,8 +215,8 @@ class Matcher {
 
   /// Pushes the candidate rows for `plan` under the state's binding, cut
   /// at `limit`, onto the candidate stack: the most selective bound
-  /// position's posting list, intersected with the runner-up when
-  /// worthwhile; a full scan when no position is bound.
+  /// position's rows, intersected with the runner-up's when worthwhile;
+  /// a full scan when no position is bound.
   Candidates FindCandidates(const AtomPlan& plan, uint32_t limit,
                             SearchState* state) const;
 

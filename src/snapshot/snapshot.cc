@@ -778,22 +778,6 @@ bool ReadSoTgd(Reader* r, const Vocabulary& vocab, const TermArena& arena,
   return true;
 }
 
-bool ReadValue(Reader* r, const Vocabulary& vocab, uint64_t num_nulls,
-               Value* out) {
-  uint32_t raw = 0;
-  if (!r->U32(&raw)) return false;
-  Value v = Value::FromRaw(raw);
-  if (!v.valid()) return r->Fail("invalid value");
-  if (v.is_null() && v.index() >= num_nulls) {
-    return r->Fail("value references unknown null");
-  }
-  if (v.is_constant() && v.index() >= vocab.num_constants()) {
-    return r->Fail("value references unknown constant");
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 std::string SerializeChaseSnapshot(const Vocabulary& vocab,

@@ -11,6 +11,15 @@ class InstanceTest : public ::testing::Test {
   TestWorkspace ws_;
 };
 
+/// The ascending rows of `relation` whose `position`-th entry is `value`.
+std::vector<uint32_t> RowsWithValue(const Instance& inst, RelationId relation,
+                                    uint32_t position, Value value) {
+  std::vector<uint32_t> rows;
+  inst.CandidateRows(inst.FindPostings(relation, position, value), nullptr,
+                     UINT32_MAX, &rows);
+  return rows;
+}
+
 TEST_F(InstanceTest, AddFactDeduplicates) {
   Instance inst(&ws_.vocab);
   EXPECT_TRUE(inst.AddFact(ws_.Fc("Emp", {"alice", "cs"})));
@@ -55,10 +64,10 @@ TEST_F(InstanceTest, PositionIndexFindsRows) {
   inst.AddFact(ws_.Fc("Emp", {"bob", "cs"}));
   inst.AddFact(ws_.Fc("Emp", {"carol", "math"}));
   RelationId emp = ws_.vocab.FindRelation("Emp");
-  EXPECT_EQ(inst.RowsWithValue(emp, 1, ws_.Cv("cs")).size(), 2u);
-  EXPECT_EQ(inst.RowsWithValue(emp, 1, ws_.Cv("math")).size(), 1u);
-  EXPECT_EQ(inst.RowsWithValue(emp, 0, ws_.Cv("cs")).size(), 0u);
-  EXPECT_EQ(inst.RowsWithValue(emp, 1, ws_.Cv("physics")).size(), 0u);
+  EXPECT_EQ(RowsWithValue(inst, emp, 1, ws_.Cv("cs")).size(), 2u);
+  EXPECT_EQ(RowsWithValue(inst, emp, 1, ws_.Cv("math")).size(), 1u);
+  EXPECT_EQ(RowsWithValue(inst, emp, 0, ws_.Cv("cs")).size(), 0u);
+  EXPECT_EQ(RowsWithValue(inst, emp, 1, ws_.Cv("physics")).size(), 0u);
 }
 
 TEST_F(InstanceTest, TupleAccess) {
@@ -90,17 +99,6 @@ TEST_F(InstanceTest, AllFactsRoundTrips) {
   Instance copy(&ws_.vocab);
   for (const Fact& f : facts) copy.AddFact(f);
   EXPECT_EQ(copy.ToString(), inst.ToString());
-}
-
-TEST_F(InstanceTest, RemoveFactsRebuilds) {
-  Instance inst(&ws_.vocab);
-  inst.AddFact(ws_.Fc("R", {"a", "b"}));
-  inst.AddFact(ws_.Fc("R", {"c", "d"}));
-  RelationId r = ws_.vocab.FindRelation("R");
-  Value a = ws_.Cv("a");
-  inst.RemoveFacts([&](const Fact& f) { return f.args[0] != a; });
-  EXPECT_EQ(inst.NumFacts(), 1u);
-  EXPECT_TRUE(inst.Contains(r, std::vector<Value>{ws_.Cv("c"), ws_.Cv("d")}));
 }
 
 TEST_F(InstanceTest, ToStringIsSortedAndStable) {

@@ -307,9 +307,11 @@ uint32_t ImageRow(const TestWorkspace& ws, const Instance& inst,
   return UINT32_MAX;
 }
 
+/// Also appends each window's probe count to `probes` when it is given.
 void ExpectWindowsFilterTheSequence(const TestWorkspace& ws,
                                     const Instance& inst,
-                                    std::span<const Atom> atoms) {
+                                    std::span<const Atom> atoms,
+                                    std::vector<uint64_t>* probes = nullptr) {
   Matcher matcher(&ws.arena, &inst, atoms);
   SearchControls none;
   std::vector<std::vector<Value>> full =
@@ -333,8 +335,11 @@ void ExpectWindowsFilterTheSequence(const TestWorkspace& ws,
     if (!expected.empty() && expected.size() < full.size()) ++strict_cuts;
     SearchControls windowed;
     windowed.row_limits = window;
+    uint64_t window_probes = 0;
+    windowed.probe_counter = &window_probes;
     EXPECT_EQ(rootsplit::Emissions(matcher, {}, windowed), expected)
         << "window " << window[0] << "," << window[1] << "," << window[2];
+    if (probes != nullptr) probes->push_back(window_probes);
   }
   EXPECT_GE(strict_cuts, 4u) << "windows must both keep and drop matches";
 }
@@ -358,7 +363,17 @@ TEST_F(MatcherTest, WindowedSearchEmitsTheFilteredSequenceSpilled) {
   ASSERT_TRUE(inst.EnableSpill(config).ok());
   windows::AddTernaryFacts(&ws_, &inst);
   ASSERT_GT(inst.spill_stats().sealed_segments, 10u);
-  windows::ExpectWindowsFilterTheSequence(ws_, inst, windows::ChainQuery(&ws_));
+  std::vector<uint64_t> spilled_probes;
+  windows::ExpectWindowsFilterTheSequence(ws_, inst, windows::ChainQuery(&ws_),
+                                          &spilled_probes);
+  // Probes are steps under a budget, so the sealed segments must offer
+  // exactly the in-core candidates, runner-up intersection included.
+  Instance in_core(&ws_.vocab);
+  windows::AddTernaryFacts(&ws_, &in_core);
+  std::vector<uint64_t> in_core_probes;
+  windows::ExpectWindowsFilterTheSequence(
+      ws_, in_core, windows::ChainQuery(&ws_), &in_core_probes);
+  EXPECT_EQ(spilled_probes, in_core_probes);
   ASSERT_EQ(::system(("rm -rf " + dir).c_str()), 0);
 }
 

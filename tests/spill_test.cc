@@ -18,8 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -177,6 +179,58 @@ TEST_F(SpillTest, ResumingSpilledSnapshotRequiresSpillDir) {
   EXPECT_NE(last_err_.find("spill"), std::string::npos) << last_err_;
 }
 
+TEST_F(SpillTest, StepBudgetedSpillMatchesInCore) {
+  // Perfbench's closure rules over a fixed 36-node digraph with 72
+  // distinct edges (self-loops kept), drawn from an LCG. The matcher
+  // charges every probe as a step, so a spilled search that probed more
+  // rows than the in-core one would stop elsewhere under --max-steps.
+  std::string rules = dir_ + "/closure.tgd";
+  std::string graph = dir_ + "/graph.inst";
+  std::ofstream(rules)
+      << "tc: E(x, y) & E(y, z) -> E(x, z) .\n"
+         "j3: E(x0, x1) & E(x1, x2) & E(x2, x3) -> J(x0, x3) .\n"
+         "mk: J(x, y) & E(y, z) -> exists w . P(x, w) .\n";
+  {
+    std::ofstream out(graph);
+    std::set<std::pair<uint32_t, uint32_t>> edges;
+    uint32_t state = 12345;
+    auto draw = [&state] {
+      state = state * 1103515245u + 12345u;
+      return (state >> 16) % 36;
+    };
+    while (edges.size() < 72) {
+      uint32_t from = draw();
+      uint32_t to = draw();
+      if (edges.emplace(from, to).second) {
+        out << "E(n" << from << ", n" << to << ") .\n";
+      }
+    }
+  }
+  // Two budgets where spilled runs used to stop early while in-core runs
+  // reach the fixpoint, one early budget, and none.
+  for (const char* budget : {"20000", "1500000", "1600000", ""}) {
+    std::vector<std::string> args{"chase", rules, graph};
+    if (*budget != '\0') {
+      args.push_back("--max-steps");
+      args.push_back(budget);
+    }
+    auto [code, in_core] = Run(args);
+    // 4 KiB segments seal often; 1 GiB segments never seal.
+    for (const char* segment_kb : {"4", "1048576"}) {
+      ClearSpillDir();
+      std::vector<std::string> spilled_args = args;
+      spilled_args.insert(spilled_args.end(), {"--spill-dir", spill_dir_,
+                                               "--spill-segment-kb",
+                                               segment_kb});
+      auto [spilled_code, spilled] = Run(spilled_args);
+      EXPECT_EQ(spilled_code, code)
+          << "budget " << budget << ", segments " << segment_kb << " KiB";
+      EXPECT_EQ(StripSpillFields(spilled), in_core)
+          << "budget " << budget << ", segments " << segment_kb << " KiB";
+    }
+  }
+}
+
 TEST_F(SpillTest, SpillFlagsAreValidated) {
   auto [kb_code, kb_out] = Run({"chase", rules_path_, inst_path_,
                                 "--spill-dir", spill_dir_,
@@ -185,6 +239,21 @@ TEST_F(SpillTest, SpillFlagsAreValidated) {
   auto [cmd_code, cmd_out] =
       Run({"classify", rules_path_, "--spill-dir", spill_dir_});
   EXPECT_EQ(cmd_code, kExitUsage);
+  // A spill directory that cannot be created, or that names an existing
+  // regular file, is an input error naming the path, not a silent
+  // in-core run or a run whose segment writes all fail.
+  for (const std::string& unusable : {inst_path_ + "/segments", inst_path_}) {
+    for (const char* command : {"chase", "certain", "explain"}) {
+      std::vector<std::string> args{command, rules_path_, inst_path_};
+      if (std::string(command) == "certain") {
+        args.push_back("q(x) :- M(x, w).");
+      }
+      args.insert(args.end(), {"--spill-dir", unusable});
+      auto [code, out] = Run(args);
+      EXPECT_EQ(code, kExitInput) << command << " --spill-dir " << unusable;
+      EXPECT_NE(last_err_.find(unusable), std::string::npos) << last_err_;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -70,7 +70,9 @@ TEST(StressTest, PositionIndexAgreesWithScan) {
   for (uint32_t pos = 0; pos < 3; ++pos) {
     for (uint32_t c = 0; c < 13; ++c) {
       Value v = Value::Constant(c);
-      const std::vector<uint32_t>& via_index = inst.RowsWithValue(r, pos, v);
+      std::vector<uint32_t> via_index;
+      inst.CandidateRows(inst.FindPostings(r, pos, v), nullptr, UINT32_MAX,
+                         &via_index);
       std::set<uint32_t> via_scan;
       for (uint32_t row = 0; row < n; ++row) {
         if (inst.Tuple(r, row)[pos] == v) via_scan.insert(row);
