@@ -364,6 +364,31 @@ void ApplyAutoBudget(CliContext* ctx, const SoTgd& rules) {
                            ":deadline-ms=", ctx->limits.budget.deadline_ms);
 }
 
+/// The governor a command's output renders under once its engines have
+/// stopped: the run's deadline, counted from the start of rendering, and
+/// its cancellation token (SIGINT/SIGTERM, serve disconnects and serve
+/// deadlines). Rendering counts no steps, and the bytes the writers hold
+/// are not charged, so both limits are cleared.
+ResourceGovernor RenderGovernor(const ExecutionBudget& budget) {
+  ExecutionBudget render = budget;
+  render.max_steps = 0;
+  render.max_memory_bytes = 0;
+  return ResourceGovernor(render);
+}
+
+/// Ends output that stopped mid-render. After a stream failure nothing
+/// more is written (CliMain reports kExitPipe); after a budget stop the
+/// current line is finished and the stop's `# status:` line comes last,
+/// which is the line the batch ledger reads.
+void EndStoppedRender(ChunkedWriter* out, bool mid_line,
+                      const ResourceGovernor& render, const char* command) {
+  if (!out->ok() || !render.exhausted()) return;
+  if (mid_line) out->Append('\n');
+  out->Append("# status: ");
+  out->Append(render.ToStatus(command).ToString());
+  out->Append('\n');
+}
+
 std::string LabelOf(const ParsedDependency& dep, size_t index) {
   return dep.label.empty() ? Cat("#", index + 1) : dep.label;
 }
@@ -509,7 +534,13 @@ int RunChaseEngine(CliContext* ctx, ChaseEngine* engine,
         << " segment_writes=" << spill.segment_writes << "\n";
   }
   out << "\n";
-  out << engine->instance().ToString();
+  ResourceGovernor render = RenderGovernor(ctx->limits.budget);
+  {
+    ChunkedWriter writer(&out);
+    if (!engine->instance().WriteCanonical(&writer, &render)) {
+      EndStoppedRender(&writer, false, render, "chase");
+    }
+  }
   // A failed checkpoint outranks the engine verdict: the caller asked for
   // durability and did not get it. Disk exhaustion maps to the resource
   // exit so the batch supervisor can retry/escalate instead of
@@ -519,7 +550,8 @@ int RunChaseEngine(CliContext* ctx, ChaseEngine* engine,
                ? kExitResource
                : kExitInternal;
   }
-  return ExitCodeForStop(engine->stop_reason());
+  return ExitCodeForStop(render.exhausted() ? render.reason()
+                                            : engine->stop_reason());
 }
 
 int CmdChaseResume(CliContext* ctx, std::ostream& out, std::ostream& err) {
@@ -559,6 +591,7 @@ int CmdChase(CliContext* ctx, std::ostream& out, std::ostream& err) {
   ApplyAutoBudget(ctx, rules);
   ChaseEngine engine(&ctx->arena, &ctx->vocab, rules, *instance,
                      ctx->limits);
+  instance.reset();  // the engine holds its own copy
   Rng rng(ctx->seed);
   return RunChaseEngine(ctx, &engine, ctx->vocab, ctx->arena, rules,
                         ctx->seed, &rng, out, err);
@@ -732,17 +765,31 @@ int CmdExplain(CliContext* ctx, std::ostream& out, std::ostream& err) {
   ApplyAutoBudget(ctx, rules);
   ChaseResult result =
       Chase(&ctx->arena, &ctx->vocab, rules, *instance, ctx->limits);
+  instance.reset();  // the result holds the chased copy
   out << "# chase " << ToString(result.stop_reason) << "; "
       << result.instance.num_nulls() << " nulls\n";
   out << "# status: "
       << StopReasonToStatus(result.stop_reason, "explain").ToString()
       << ctx->status_suffix << "\n";
-  for (uint32_t i = 0; i < result.instance.num_nulls(); ++i) {
-    Value null = Value::Null(i);
-    out << result.instance.ValueToString(null) << " = "
-        << result.ExplainValue(ctx->arena, ctx->vocab, null) << "\n";
+  // A null's Skolem term expands its shared subterms, so one line can be
+  // exponential in the chase depth: the render polls once per term node.
+  ResourceGovernor render = RenderGovernor(ctx->limits.budget);
+  {
+    ChunkedWriter writer(&out);
+    for (uint32_t i = 0; i < result.instance.num_nulls(); ++i) {
+      Value null = Value::Null(i);
+      writer.Append(result.instance.ValueToString(null));
+      writer.Append(" = ");
+      if (!result.WriteExplanation(ctx->arena, ctx->vocab, null, &writer,
+                                   &render)) {
+        EndStoppedRender(&writer, true, render, "explain");
+        break;
+      }
+      writer.Append('\n');
+    }
   }
-  return ExitCodeForStop(result.stop_reason);
+  return ExitCodeForStop(render.exhausted() ? render.reason()
+                                            : result.stop_reason);
 }
 
 int CmdCompose(CliContext* ctx, std::ostream& out, std::ostream& err) {
@@ -805,15 +852,24 @@ int CmdSolve(CliContext* ctx, std::ostream& out, std::ostream& err) {
   }
   ExchangeResult result = Solve(&ctx->arena, &ctx->vocab, mapping,
                                 *instance, ctx->limits);
-  out << "# " << (result.IsUniversal() ? "universal" : "TRUNCATED")
-      << " solution (" << result.solution.NumFacts() << " facts)\n";
-  out << result.solution.ToString();
   Instance core = CoreSolution(&ctx->arena, &ctx->vocab, mapping, *instance,
                                ctx->limits);
-  out << "# core solution (" << core.NumFacts() << " facts)\n";
-  out << core.ToString();
-  out << "# status: "
-      << StopReasonToStatus(result.chase_stop, "solve").ToString() << "\n";
+  ResourceGovernor render = RenderGovernor(ctx->limits.budget);
+  ChunkedWriter writer(&out);
+  writer.Append(Cat("# ", result.IsUniversal() ? "universal" : "TRUNCATED",
+                    " solution (", result.solution.NumFacts(), " facts)\n"));
+  if (!result.solution.WriteCanonical(&writer, &render)) {
+    EndStoppedRender(&writer, false, render, "solve");
+    return ExitCodeForStop(render.reason());
+  }
+  writer.Append(Cat("# core solution (", core.NumFacts(), " facts)\n"));
+  if (!core.WriteCanonical(&writer, &render)) {
+    EndStoppedRender(&writer, false, render, "solve");
+    return ExitCodeForStop(render.reason());
+  }
+  writer.Append(Cat("# status: ",
+                    StopReasonToStatus(result.chase_stop, "solve").ToString(),
+                    "\n"));
   return ExitCodeForStop(result.chase_stop);
 }
 

@@ -764,12 +764,22 @@ void ChaseEngine::Run() {
 std::string ChaseResult::ExplainValue(const TermArena& arena,
                                       const Vocabulary& vocab,
                                       Value v) const {
-  if (v.is_constant()) return instance.ValueToString(v);
-  if (v.index() < null_provenance.size() &&
+  ChunkedWriter out;
+  WriteExplanation(arena, vocab, v, &out);
+  return out.Take();
+}
+
+bool ChaseResult::WriteExplanation(const TermArena& arena,
+                                   const Vocabulary& vocab, Value v,
+                                   ChunkedWriter* out,
+                                   ResourceGovernor* governor) const {
+  if (v.is_null() && v.index() < null_provenance.size() &&
       null_provenance[v.index()] != kInvalidTerm) {
-    return arena.ToString(null_provenance[v.index()], vocab);
+    return arena.Write(null_provenance[v.index()], vocab, out, governor);
   }
-  return instance.ValueToString(v);  // input null: opaque
+  // Constants and input nulls (opaque) render as themselves.
+  out->Append(instance.ValueToString(v));
+  return out->ok();
 }
 
 ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,

@@ -287,6 +287,12 @@ struct ChaseResult {
   /// "sk_dm$0(\"cs\")". Input nulls and constants render as themselves.
   std::string ExplainValue(const TermArena& arena, const Vocabulary& vocab,
                            Value v) const;
+  /// ExplainValue, streamed: the term goes through TermArena::Write, so
+  /// `governor` (may be null) is polled once per term node. False once the
+  /// governor is exhausted or `out` has failed.
+  bool WriteExplanation(const TermArena& arena, const Vocabulary& vocab,
+                        Value v, ChunkedWriter* out,
+                        ResourceGovernor* governor = nullptr) const;
 };
 
 /// Convenience wrapper: chases `input` under `rules` to fixpoint or limit.

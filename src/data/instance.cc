@@ -4,11 +4,15 @@
 #include <atomic>
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
+#include "base/budget.h"
 #include "base/fileio.h"
 #include "base/strings.h"
 #include "data/segment.h"
@@ -225,14 +229,17 @@ size_t Instance::NumFacts() const {
 std::span<const Value> Instance::Tuple(RelationId relation,
                                        uint32_t row) const {
   const RelationData& data = relations_.at(relation);
+  return {Row(relation, data, row), data.arity};
+}
+
+const Value* Instance::Row(RelationId relation, const RelationData& data,
+                           uint64_t row) const {
   if (row < data.sealed_rows) {
     const std::vector<Value>& flat =
         EnsureHot(relation, data, row / data.rows_per_segment);
-    uint64_t local = row % data.rows_per_segment;
-    return {flat.data() + local * data.arity, data.arity};
+    return flat.data() + (row % data.rows_per_segment) * data.arity;
   }
-  row -= static_cast<uint32_t>(data.sealed_rows);
-  return {data.flat.data() + size_t(row) * data.arity, data.arity};
+  return data.flat.data() + (row - data.sealed_rows) * data.arity;
 }
 
 Instance::Postings Instance::FindPostings(RelationId relation,
@@ -395,6 +402,117 @@ std::string QuoteConstantName(const std::string& name) {
   return out;
 }
 
+/// _N<index>, the spelling of an unlabelled null.
+std::string NullIndexName(uint32_t index) {
+  char digits[10];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof digits, index);
+  std::string name = "_N";
+  name.append(digits, end);
+  return name;
+}
+
+/// Every distinct value of an instance rendered once, into one buffer
+/// indexed by constant id and null index.
+class RenderedValues {
+ public:
+  explicit RenderedValues(const Instance& instance)
+      : instance_(instance),
+        constants_(instance.vocab().num_constants()),
+        nulls_(instance.num_nulls()) {}
+
+  void Add(Value v) {
+    Span& span = v.is_null() ? nulls_[v.index()] : constants_[v.index()];
+    if (span.size != 0) return;  // no rendering is empty
+    span.begin = static_cast<uint32_t>(text_.size());
+    text_ += instance_.ValueToString(v);
+    span.size = static_cast<uint32_t>(text_.size() - span.begin);
+  }
+
+  /// Precondition: Add(v) was called.
+  std::string_view Get(Value v) const {
+    const Span& span =
+        v.is_null() ? nulls_[v.index()] : constants_[v.index()];
+    return {text_.data() + span.begin, span.size};
+  }
+
+ private:
+  struct Span {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+
+  const Instance& instance_;
+  std::string text_;
+  std::vector<Span> constants_;
+  std::vector<Span> nulls_;
+};
+
+/// The bytes a row renders to after its relation's "name(": every value
+/// followed by ", ", the last by ")". Read byte by byte from a position
+/// and offset on, for the rare comparison that runs past the end of one
+/// value's rendering (see RowLess).
+class LineCursor {
+ public:
+  LineCursor(const Value* row, uint32_t arity, const RenderedValues& values,
+             uint32_t position, size_t offset)
+      : row_(row), arity_(arity), values_(values), part_(2 * position) {
+    rest_ = Part(part_).substr(offset);
+  }
+
+  /// The next byte, or -1 after the closing ")".
+  int Next() {
+    while (rest_.empty()) {
+      if (++part_ >= 2 * arity_) return -1;
+      rest_ = Part(part_);
+    }
+    unsigned char c = static_cast<unsigned char>(rest_.front());
+    rest_.remove_prefix(1);
+    return c;
+  }
+
+ private:
+  /// Even parts are values, odd parts the separators after them.
+  std::string_view Part(uint32_t part) const {
+    if (part % 2 == 0) return values_.Get(row_[part / 2]);
+    return part + 1 == 2 * arity_ ? ")" : ", ";
+  }
+
+  const Value* row_;
+  uint32_t arity_;
+  const RenderedValues& values_;
+  uint32_t part_;
+  std::string_view rest_;
+};
+
+/// True iff row `a`'s line sorts before row `b`'s, comparing the rendered
+/// bytes as unsigned chars with a proper prefix first, exactly as sorting
+/// the line strings would. Equal values are skipped; so are distinct
+/// values with the same rendering (a labelled null and an indexed null
+/// can both print as _N5), because the same separator follows both. When
+/// one rendering is a proper prefix of the other, the bytes after it
+/// decide: `a` against `a$b` is decided by ',' or ')' against '$'.
+bool RowLess(const Value* a, const Value* b, uint32_t arity,
+             const RenderedValues& values) {
+  for (uint32_t i = 0; i < arity; ++i) {
+    if (a[i] == b[i]) continue;
+    std::string_view ra = values.Get(a[i]);
+    std::string_view rb = values.Get(b[i]);
+    size_t common = std::min(ra.size(), rb.size());
+    int c = std::memcmp(ra.data(), rb.data(), common);
+    if (c != 0) return c < 0;
+    if (ra.size() == rb.size()) continue;
+    LineCursor x(a, arity, values, i, common);
+    LineCursor y(b, arity, values, i, common);
+    for (;;) {
+      int p = x.Next();
+      int q = y.Next();
+      if (p != q) return p < q;
+      if (p < 0) return false;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string Instance::ValueToString(Value v) const {
@@ -404,46 +522,89 @@ std::string Instance::ValueToString(Value v) const {
     return IsPlainConstantName(name) ? name : QuoteConstantName(name);
   }
   const std::string& label = null_labels_[v.index()];
-  if (!label.empty()) return Cat("_", label);
-  return Cat("_N", v.index());
+  if (!label.empty()) return "_" + label;
+  return NullIndexName(v.index());
+}
+
+bool Instance::WriteCanonical(ChunkedWriter* out,
+                              ResourceGovernor* governor) const {
+  // Sealed values are exactly the keys of the frequency runs, so the
+  // table fills without faulting a segment in.
+  RenderedValues values(*this);
+  for (const auto& [rel, data] : relations_) {
+    for (Value v : data.flat) values.Add(v);
+    for (const auto& pos_runs : data.count_runs) {
+      for (const CountRun& run : pos_runs) {
+        for (const auto& [raw, count] : run) values.Add(Value::FromRaw(raw));
+      }
+    }
+  }
+  // Relation names are identifiers, so no relation's "name(" is a prefix
+  // of another's, and ordering relations by it orders their lines.
+  std::vector<std::pair<std::string, RelationId>> relations;
+  relations.reserve(active_relations_.size());
+  for (RelationId rel : active_relations_) {
+    relations.emplace_back(vocab_->RelationName(rel) + "(", rel);
+  }
+  std::sort(relations.begin(), relations.end());
+  for (const auto& [prefix, rel] : relations) {
+    const RelationData& data = relations_.at(rel);
+    std::vector<uint32_t> order(data.NumTuples());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return RowLess(Row(rel, data, a), Row(rel, data, b), data.arity,
+                     values);
+    });
+    for (uint32_t row : order) {
+      if ((governor != nullptr && !governor->Poll()) || !out->ok()) {
+        return false;
+      }
+      const Value* tuple = Row(rel, data, row);
+      out->Append(prefix);
+      for (uint32_t i = 0; i < data.arity; ++i) {
+        if (i > 0) out->Append(", ");
+        out->Append(values.Get(tuple[i]));
+      }
+      out->Append(")\n");
+    }
+  }
+  out->Flush();
+  return out->ok();
 }
 
 std::string Instance::ToString() const {
-  std::vector<std::string> lines;
-  for (const Fact& f : AllFacts()) {
-    std::string line = vocab_->RelationName(f.relation);
-    line += "(";
-    line += JoinMapped(f.args, ", ",
-                       [&](Value v) { return ValueToString(v); });
-    line += ")";
-    lines.push_back(std::move(line));
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& line : lines) {
-    out += line;
-    out += "\n";
-  }
-  return out;
+  ChunkedWriter out;
+  WriteCanonical(&out);
+  return out.Take();
 }
 
 std::string Instance::ToExactText() const {
   std::string out;
-  for (const Fact& f : AllFacts()) {
-    out += vocab_->RelationName(f.relation);
-    out += "(";
-    out += JoinMapped(f.args, ", ", [&](Value v) {
-      if (v.is_null()) return Cat("_N", v.index());
-      return ValueToString(v);
-    });
-    out += ")\n";
+  for (RelationId rel : active_relations_) {
+    const RelationData& data = relations_.at(rel);
+    const std::string& name = vocab_->RelationName(rel);
+    for (uint64_t row = 0, n = data.NumTuples(); row < n; ++row) {
+      const Value* tuple = Row(rel, data, row);
+      out += name;
+      out += '(';
+      for (uint32_t i = 0; i < data.arity; ++i) {
+        if (i > 0) out += ", ";
+        out += tuple[i].is_null() ? NullIndexName(tuple[i].index())
+                                  : ValueToString(tuple[i]);
+      }
+      out += ")\n";
+    }
   }
   return out;
 }
 
 void CopyFacts(const Instance& src, Instance* dst) {
   dst->EnsureNulls(src.num_nulls());
-  for (const Fact& f : src.AllFacts()) dst->AddFact(f);
+  for (RelationId rel : src.ActiveRelations()) {
+    for (size_t row = 0, n = src.NumTuples(rel); row < n; ++row) {
+      dst->AddFact(rel, src.Tuple(rel, static_cast<uint32_t>(row)));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@
 
 namespace tgdkit {
 
+class ChunkedWriter;
+class ResourceGovernor;
+
 /// Configuration of the out-of-core backend (Instance::EnableSpill).
 struct SpillConfig {
   /// Directory for segment files. Must exist; files are named
@@ -223,9 +226,20 @@ class Instance {
   /// the accelerating structures, not just raw rows.
   uint64_t IndexBytes() const { return index_bytes_; }
 
-  /// Renders all facts sorted lexicographically, one per line, in the
-  /// canonical text format ParseInstanceText reads back (parse ∘ print is
-  /// the identity on the canonical form).
+  /// Writes all facts, one per line, in the canonical text format
+  /// ParseInstanceText reads back (parse ∘ print is the identity on the
+  /// canonical form). Lines are sorted as their bytes compare. The print
+  /// streams: each distinct value is rendered once, relations go in the
+  /// order of `name + "("`, each relation's rows are sorted through a row
+  /// permutation, and lines leave through `out` a chunk at a time, so
+  /// besides `out`'s chunk it holds the rendered values and one
+  /// relation's permutation. Polls `governor` (may be null) once per
+  /// line. Returns false, with whole lines written, once the governor is
+  /// exhausted or `out` has failed.
+  bool WriteCanonical(ChunkedWriter* out,
+                      ResourceGovernor* governor = nullptr) const;
+
+  /// The canonical text whole (WriteCanonical into a string).
   std::string ToString() const;
 
   /// Renders all facts in insertion order (per relation, rows in row-id
@@ -279,6 +293,11 @@ class Instance {
 
   RelationData& GetOrCreate(RelationId relation);
   static size_t TupleHash(std::span<const Value> args);
+
+  /// The `row`-th tuple of `data` (which is `relation`'s), faulting its
+  /// segment in when it is sealed and cold.
+  const Value* Row(RelationId relation, const RelationData& data,
+                   uint64_t row) const;
 
   /// True iff the tail or the sealed prefix holds `args` (whose tuple
   /// hash is `hash`).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "base/budget.h"
 #include "base/strings.h"
 
 namespace tgdkit {
@@ -38,9 +39,16 @@ TermId TermArena::InternNode(TermKind kind, SymbolId symbol,
   node.symbol = symbol;
   node.first_arg = static_cast<uint32_t>(args_.size());
   node.num_args = static_cast<uint32_t>(args.size());
+  node.ground = kind != TermKind::kVariable;
+  node.nested = false;
   node.depth = 0;
   if (kind == TermKind::kFunction) {
-    for (TermId a : args) node.depth = std::max(node.depth, nodes_[a].depth);
+    for (TermId a : args) {
+      const Node& arg = nodes_[a];
+      node.ground = node.ground && arg.ground;
+      node.nested = node.nested || arg.kind == TermKind::kFunction;
+      node.depth = std::max(node.depth, arg.depth);
+    }
     ++node.depth;
   }
   args_.insert(args_.end(), args.begin(), args.end());
@@ -62,29 +70,6 @@ TermId TermArena::MakeFunction(FunctionId f, std::span<const TermId> args) {
   return InternNode(TermKind::kFunction, f, args);
 }
 
-uint64_t TermArena::Size(TermId t) const {
-  uint64_t total = 1;
-  for (TermId a : args(t)) total += Size(a);
-  return total;
-}
-
-bool TermArena::IsGround(TermId t) const {
-  if (IsVariable(t)) return false;
-  for (TermId a : args(t)) {
-    if (!IsGround(a)) return false;
-  }
-  return true;
-}
-
-bool TermArena::HasNestedFunction(TermId t) const {
-  if (!IsFunction(t)) return false;
-  for (TermId a : args(t)) {
-    if (IsFunction(a)) return true;
-    if (HasNestedFunction(a)) return true;
-  }
-  return false;
-}
-
 void TermArena::CollectVariables(TermId t,
                                  std::vector<VariableId>* out) const {
   if (IsVariable(t)) {
@@ -97,23 +82,51 @@ void TermArena::CollectVariables(TermId t,
   for (TermId a : args(t)) CollectVariables(a, out);
 }
 
-std::string TermArena::ToString(TermId t, const Vocabulary& vocab) const {
-  switch (kind(t)) {
-    case TermKind::kVariable:
-      return vocab.VariableName(symbol(t));
-    case TermKind::kConstant:
-      return Cat("\"", vocab.ConstantName(symbol(t)), "\"");
-    case TermKind::kFunction: {
-      std::string out = vocab.FunctionName(symbol(t));
-      out += "(";
-      out += JoinMapped(args(t), ", ", [&](TermId a) {
-        return ToString(a, vocab);
-      });
-      out += ")";
-      return out;
+bool TermArena::Write(TermId t, const Vocabulary& vocab, ChunkedWriter* out,
+                      ResourceGovernor* governor) const {
+  // One entry per open application: the term and how many of its
+  // arguments have been started.
+  std::vector<std::pair<TermId, uint32_t>> open;
+  for (;;) {
+    if ((governor != nullptr && !governor->Poll()) || !out->ok()) {
+      return false;
+    }
+    switch (kind(t)) {
+      case TermKind::kVariable:
+        out->Append(vocab.VariableName(symbol(t)));
+        break;
+      case TermKind::kConstant:
+        out->Append('"');
+        out->Append(vocab.ConstantName(symbol(t)));
+        out->Append('"');
+        break;
+      case TermKind::kFunction:
+        out->Append(vocab.FunctionName(symbol(t)));
+        out->Append('(');
+        open.emplace_back(t, 0);
+        break;
+    }
+    // Close the applications whose arguments are done, then descend into
+    // the next argument.
+    for (;;) {
+      if (open.empty()) return true;
+      auto& [app, started] = open.back();
+      std::span<const TermId> app_args = args(app);
+      if (started < app_args.size()) {
+        if (started > 0) out->Append(", ");
+        t = app_args[started++];
+        break;
+      }
+      out->Append(')');
+      open.pop_back();
     }
   }
-  return "<bad-term>";
+}
+
+std::string TermArena::ToString(TermId t, const Vocabulary& vocab) const {
+  ChunkedWriter out;
+  Write(t, vocab, &out);
+  return out.Take();
 }
 
 TermId Substitution::Apply(TermArena* arena, TermId t) const {

@@ -18,6 +18,9 @@
 
 namespace tgdkit {
 
+class ChunkedWriter;
+class ResourceGovernor;
+
 /// Index of a term within its TermArena.
 using TermId = uint32_t;
 
@@ -58,20 +61,27 @@ class TermArena {
   /// when the node is interned, so shared subterms are never re-walked.
   uint32_t Depth(TermId t) const { return nodes_[t].depth; }
 
-  /// Number of nodes in the term tree (with sharing expanded).
-  uint64_t Size(TermId t) const;
-
-  /// True iff the term contains no variables.
-  bool IsGround(TermId t) const;
+  /// True iff the term contains no variables. O(1), recorded at interning.
+  bool IsGround(TermId t) const { return nodes_[t].ground; }
 
   /// True iff the term contains at least one function application nested
   /// inside another function application ("nested term" in SO tgds).
-  bool HasNestedFunction(TermId t) const;
+  /// O(1), recorded at interning.
+  bool HasNestedFunction(TermId t) const { return nodes_[t].nested; }
 
   /// Collects the distinct variables of `t` in first-occurrence order.
   void CollectVariables(TermId t, std::vector<VariableId>* out) const;
 
-  /// Renders the term, resolving symbol names through `vocab`.
+  /// Appends the term to `out`, resolving symbol names through `vocab`:
+  /// variables bare, constants quoted, applications as f(a1, a2). Shared
+  /// subterms are expanded, so the text can be exponential in the term's
+  /// size; the walk is iterative, and polls `governor` (may be null) once
+  /// per node of the expanded tree. Returns false, with a prefix of the
+  /// term written, once the governor is exhausted or `out` has failed.
+  bool Write(TermId t, const Vocabulary& vocab, ChunkedWriter* out,
+             ResourceGovernor* governor = nullptr) const;
+
+  /// Renders the term whole (Write into a string).
   std::string ToString(TermId t, const Vocabulary& vocab) const;
 
   size_t size() const { return nodes_.size(); }
@@ -89,11 +99,15 @@ class TermArena {
  private:
   struct Node {
     TermKind kind;
+    // Recorded at interning, like depth, in the padding after `kind`.
+    bool ground : 1;  // no variables
+    bool nested : 1;  // an application below an application
     SymbolId symbol;
     uint32_t first_arg;
     uint32_t num_args;
     uint32_t depth;
   };
+  static_assert(sizeof(Node) == 20, "the flags must fit kind's padding");
 
   /// Estimated per-bucket overhead of the hash-cons map (node + vector).
   static constexpr uint64_t kBucketOverheadBytes = 64;

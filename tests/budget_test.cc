@@ -5,7 +5,10 @@
 // progressively tighter budgets, asserting a clean, deterministic,
 // machine-readable stop every time.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -531,7 +534,8 @@ class BudgetTempFile {
   BudgetTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_budget_" + tag + "_" +
-            std::to_string(counter++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".txt";
     std::ofstream out(path_);
     out << content;
   }
@@ -608,6 +612,106 @@ TEST(BudgetCliTest, GlobalCancellationTokenStopsTheChase) {
   EXPECT_EQ(code, 4);
   EXPECT_NE(out.str().find("chase stopped by cancelled"), std::string::npos)
       << out.str();
+}
+
+/// Discards what is written to it but counts the bytes and keeps the last
+/// whole line (up to 4 KiB of it), so a test can watch an unbounded render
+/// without holding it. Only the byte count may be read from another
+/// thread while the render writes.
+class CountingTailBuf : public std::streambuf {
+ public:
+  uint64_t bytes() const { return bytes_.load(); }
+  const std::string& last_line() const { return last_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c != traits_type::eof()) {
+      char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+  std::streamsize xsputn(const char* text, std::streamsize n) override {
+    for (std::streamsize i = 0; i < n; ++i) {
+      if (text[i] == '\n') {
+        last_.swap(current_);
+        current_.clear();
+      } else if (current_.size() < 4096) {
+        current_ += text[i];
+      }
+    }
+    bytes_ += static_cast<uint64_t>(n);
+    return n;
+  }
+
+ private:
+  std::atomic<uint64_t> bytes_{0};
+  std::string current_, last_;
+};
+
+// `dup` shares its Skolem subterms: the null minted in round k is
+// f(t, t) over the last round's term, so its explanation has 2^k leaves
+// and explaining all 256 nulls of the depth-limited chase never ends.
+constexpr const char* kDupRules = "dup: R(x, y) -> exists z . R(z, z) .\n";
+
+TEST(BudgetCliTest, ExplainRenderStopsAtTheDeadline) {
+  BudgetTempFile deps("deps", kDupRules);
+  BudgetTempFile inst("inst", "R(a, b) .\n");
+  CountingTailBuf sink;
+  std::ostream out(&sink);
+  std::ostringstream err;
+  auto start = std::chrono::steady_clock::now();
+  int code = RunCli({"explain", deps.path(), inst.path(), "--deadline-ms",
+                     "200"},
+                    out, err);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_EQ(code, 4) << err.str();
+  EXPECT_LT(seconds, 10.0);
+  EXPECT_GT(sink.bytes(), 0u);
+  EXPECT_EQ(sink.last_line(),
+            "# status: ResourceExhausted: explain stopped by deadline");
+}
+
+TEST(BudgetCliTest, CancellationFromAnotherThreadStopsTheRender) {
+  BudgetTempFile deps("deps", kDupRules);
+  BudgetTempFile inst("inst", "R(a, b) .\n");
+  CountingTailBuf sink;
+  std::ostream out(&sink);
+  std::ostringstream err;
+  ApiOptions options;
+  // Cancel once the render is well under way, so it is the render and
+  // not the chase that the token stops.
+  std::atomic<bool> returned{false};
+  std::thread canceller([&sink, &returned, token = options.cancel]() mutable {
+    while (!returned && sink.bytes() < (1u << 20)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel();
+  });
+  int code = RunCommand({"explain", deps.path(), inst.path()}, out, err,
+                        options);
+  returned = true;
+  canceller.join();
+  EXPECT_EQ(code, 4) << err.str();
+  EXPECT_EQ(sink.last_line(),
+            "# status: ResourceExhausted: explain stopped by cancelled");
+}
+
+TEST(BudgetCliTest, FailedStreamStopsTheRenderPromptly) {
+  BudgetTempFile deps("deps", kDupRules);
+  BudgetTempFile inst("inst", "R(a, b) .\n");
+  std::ostringstream out, err;
+  out.setstate(std::ios::badbit);
+  auto start = std::chrono::steady_clock::now();
+  RunCli({"explain", deps.path(), inst.path()}, out, err);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(seconds, 10.0);
+  EXPECT_TRUE(out.fail());
 }
 
 TEST(BudgetedOracleTest, PcpSearchAgreesWithUnbudgetedSolver) {

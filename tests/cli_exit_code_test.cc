@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -24,7 +25,8 @@ class ExitCodeTempFile {
   ExitCodeTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_exit_" + tag + "_" +
-            std::to_string(counter++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".txt";
     std::ofstream out(path_);
     out << content;
   }

@@ -1,5 +1,6 @@
 // Tests for the compose and solve CLI commands.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -15,7 +16,8 @@ class ScopedFile {
   ScopedFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_cli2_" + tag + "_" +
-            std::to_string(counter++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".txt";
     std::ofstream out(path_);
     out << content;
   }

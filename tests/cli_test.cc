@@ -1,5 +1,6 @@
 // Tests for the command-line driver (src/cli).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -17,7 +18,8 @@ class TempFile {
   TempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_cli_" + tag + "_" +
-            std::to_string(counter++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".txt";
     std::ofstream out(path_);
     out << content;
   }

@@ -2,6 +2,7 @@
 // command: each check firing on a crafted program, severity gating of the
 // exit code, and the three output formats.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -201,7 +202,8 @@ class LintCliTempFile {
   LintCliTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_lint_" + tag + "_" +
-            std::to_string(counter++) + ".tgd";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".tgd";
     std::ofstream out(path_);
     out << content;
   }

@@ -4,6 +4,7 @@
 // (exit code 2, "ParseError" on stderr) — never a crash, hang, or
 // silent mis-parse.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -21,7 +22,8 @@ class RobustTempFile {
   RobustTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_robust_" + tag + "_" +
-            std::to_string(counter++) + ".txt";
+            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+            ".txt";
     std::ofstream out(path_, std::ios::binary);
     out << content;
   }

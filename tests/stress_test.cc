@@ -23,7 +23,6 @@ TEST(StressTest, DeepTermChainsIntern) {
     chain.push_back(t);
   }
   EXPECT_EQ(ws.arena.Depth(t), 2000u);
-  EXPECT_EQ(ws.arena.Size(t), 2001u);
   // Re-interning the same chain yields identical ids (full sharing).
   TermId t2 = ws.C("base");
   for (int i = 0; i < 2000; ++i) {

@@ -55,21 +55,32 @@ TEST_F(TermTest, KindsAndSymbols) {
 TEST_F(TermTest, DepthAndSize) {
   TermId x = Var("x");
   EXPECT_EQ(arena_.Depth(x), 0u);
-  EXPECT_EQ(arena_.Size(x), 1u);
   TermId fx = Fn("f", {x});
   EXPECT_EQ(arena_.Depth(fx), 1u);
   TermId gfx = Fn("g", {fx, x});
   EXPECT_EQ(arena_.Depth(gfx), 2u);
-  EXPECT_EQ(arena_.Size(gfx), 4u);
 }
 
 TEST_F(TermTest, DepthOfSharedTowerIsLinear) {
   // f(t, t) two hundred times: 2^200 leaves with sharing expanded, depth
-  // 200. Depth is recorded at interning, so this is O(1) per call.
+  // 200. Depth, groundness and nesting are recorded at interning, so each
+  // is O(1) per call; a walk of the expanded tree would never return.
   TermId t = Const("c");
   for (int i = 0; i < 200; ++i) t = Fn("f", {t, t});
   EXPECT_EQ(arena_.Depth(t), 200u);
   EXPECT_EQ(arena_.Depth(arena_.args(t)[0]), 199u);
+  EXPECT_TRUE(arena_.IsGround(t));
+  EXPECT_TRUE(arena_.HasNestedFunction(t));
+  // The same tower over a variable: not ground at any level.
+  TermId v = Var("x");
+  for (int i = 0; i < 200; ++i) v = Fn("f", {v, v});
+  EXPECT_FALSE(arena_.IsGround(v));
+  EXPECT_TRUE(arena_.HasNestedFunction(v));
+  // The tower's first level has no application below it.
+  TermId f1 = arena_.args(arena_.args(t)[0])[0];
+  for (int i = 0; i < 197; ++i) f1 = arena_.args(f1)[0];
+  EXPECT_EQ(arena_.Depth(f1), 1u);
+  EXPECT_FALSE(arena_.HasNestedFunction(f1));
 }
 
 TEST_F(TermTest, GroundAndNested) {
