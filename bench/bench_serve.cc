@@ -1,8 +1,8 @@
-// E15 — resident serving: `tgdkit serve` answers protocol pings, warm
-// (cache-hit) and cold (full run) classify requests over a Unix socket,
+// E15 — resident serving: `tgdkit serve` answers protocol pings and
+// classify requests (each a full run on a pool lane) over a Unix socket,
 // and sheds overload with typed refusals instead of queueing
 // (docs/SERVE.md). Prints the admission/shed table for a deliberate
-// overload burst, then benchmarks the three request latencies so CI can
+// overload burst, then benchmarks the two request latencies so CI can
 // gate the resident path via tools/bench_gate.py (BENCH_serve.json).
 #include <benchmark/benchmark.h>
 
@@ -22,8 +22,6 @@
 
 namespace tgdkit {
 namespace {
-
-constexpr char kDeps[] = "every: Emp(e) -> exists m . Mgr(e, m) .\n";
 
 /// One in-process daemon on its own Unix socket; joined on destruction.
 struct ServerHarness {
@@ -132,31 +130,9 @@ void BM_ServePing(benchmark::State& state) {
 }
 BENCHMARK(BM_ServePing)->Unit(benchmark::kMicrosecond);
 
-void BM_ServeWarmClassify(benchmark::State& state) {
-  // Cache hit: the identical request repeats, so after the first round
-  // trip the daemon replays the stored verdict without running a worker.
-  Result<ServeClient> client =
-      ServeClient::ConnectUnixSocket(g_server->options.socket_path);
-  if (!client.ok()) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  ServeRequest request = ClassifyRequest("warm", kDeps);
-  for (auto _ : state) {
-    Result<ServeResponse> response = client->Call(request);
-    if (!response.ok() || response->status != ServeStatus::kOk) {
-      state.SkipWithError("warm request failed");
-      return;
-    }
-    benchmark::DoNotOptimize(response->out);
-  }
-}
-BENCHMARK(BM_ServeWarmClassify)->Unit(benchmark::kMicrosecond);
-
 void BM_ServeColdClassify(benchmark::State& state) {
-  // Cache miss every iteration: a fresh predicate name forces the full
-  // parse + classification run on a pool lane. Warm minus cold is what
-  // the resident cache buys.
+  // Each iteration classifies a fresh one-rule ruleset: a full parse +
+  // classification on a pool lane, on top of BM_ServePing's floor.
   Result<ServeClient> client =
       ServeClient::ConnectUnixSocket(g_server->options.socket_path);
   if (!client.ok()) {
@@ -170,8 +146,7 @@ void BM_ServeColdClassify(benchmark::State& state) {
         "cold" + std::to_string(counter),
         "p" + std::to_string(counter) + "(X) -> q(X) .\n");
     Result<ServeResponse> response = client->Call(request);
-    if (!response.ok() || response->status != ServeStatus::kOk ||
-        response->cached) {
+    if (!response.ok() || response->status != ServeStatus::kOk) {
       state.SkipWithError("cold request failed");
       return;
     }
@@ -188,10 +163,6 @@ int main(int argc, char** argv) {
   {
     tgdkit::ServeOptions options;
     options.threads = 4;
-    // The cold benchmark inserts a distinct entry per iteration; a small
-    // cache keeps memory flat while still holding the warm entry (hits
-    // refresh recency, so steady eviction churn never evicts it).
-    options.cache_bytes = 4 * 1024 * 1024;
     tgdkit::ServerHarness server("bench", options);
     tgdkit::g_server = &server;
     benchmark::Initialize(&argc, argv);

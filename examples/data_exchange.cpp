@@ -58,7 +58,7 @@ int main() {
               "while DeptMgr shares one null per department (fdm(d)) —\n"
               "the exact distinction the paper's introduction draws.\n\n");
 
-  Instance core = CoreSolution(&arena, &vocab, mapping, source);
+  Instance core = CoreSolution(&arena, &vocab, result.solution);
   std::printf("core solution: %zu facts (universal solution had %zu)\n\n",
               core.NumFacts(), result.solution.NumFacts());
 

@@ -63,9 +63,9 @@ constexpr const char* kUsage =
     "                                 a durable run ledger (docs/BATCH.md)\n"
     "  serve     [--socket PATH]      resident reasoning service: line-\n"
     "                                 JSON requests over a Unix/TCP\n"
-    "                                 socket, warm caches, admission\n"
-    "                                 control and graceful drain\n"
-    "                                 (docs/SERVE.md)\n"
+    "                                 socket, each run as the one-shot\n"
+    "                                 CLI runs it; admission control\n"
+    "                                 and graceful drain (docs/SERVE.md)\n"
     "  fuzz      [--seeds N]          adversarial chaos fuzzing: per-seed\n"
     "                                 scenario + fault schedule, invariant\n"
     "                                 cross-checks, delta-debugging\n"
@@ -162,7 +162,9 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
                   std::ostream& err) {
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot) {
+    // `max` bounds a value that is later scaled or narrowed, so that its
+    // stored form cannot wrap around.
+    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
       if (i + 1 >= args.size()) {
         err << "tgdkit: missing value for " << arg << "\n";
         return false;
@@ -177,11 +179,10 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
         return false;
       }
       errno = 0;
-      char* end = nullptr;
-      uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-      if (errno == ERANGE) {
+      uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
+      if (errno == ERANGE || parsed > max) {
         err << "tgdkit: value '" << value << "' for " << arg
-            << " is out of range\n";
+            << " is out of range (at most " << max << ")\n";
         return false;
       }
       *slot = parsed;
@@ -205,7 +206,7 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
       if (!numeric(&ctx->limits.max_facts)) return false;
     } else if (arg == "--max-depth") {
       uint64_t depth = 0;
-      if (!numeric(&depth)) return false;
+      if (!numeric(&depth, UINT32_MAX)) return false;
       ctx->limits.max_term_depth = static_cast<uint32_t>(depth);
     } else if (arg == "--max-steps") {
       if (!numeric(&ctx->limits.budget.max_steps)) return false;
@@ -213,8 +214,8 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
       if (!numeric(&ctx->limits.budget.deadline_ms)) return false;
     } else if (arg == "--max-memory-mb") {
       uint64_t mb = 0;
-      if (!numeric(&mb)) return false;
-      ctx->limits.budget.max_memory_bytes = mb * 1024 * 1024;
+      if (!numeric(&mb, UINT64_MAX >> 20)) return false;
+      ctx->limits.budget.max_memory_bytes = mb << 20;
     } else if (arg == "--seed") {
       if (!numeric(&ctx->seed)) return false;
     } else if (arg == "--auto-budget") {
@@ -238,7 +239,10 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
     } else if (arg == "--spill-dir") {
       if (!pathval(&ctx->limits.spill_dir)) return false;
     } else if (arg == "--spill-segment-kb") {
-      if (!numeric(&ctx->limits.spill_segment_kb)) return false;
+      // The chase engine scales it to bytes.
+      if (!numeric(&ctx->limits.spill_segment_kb, UINT64_MAX >> 10)) {
+        return false;
+      }
       if (ctx->limits.spill_segment_kb == 0) {
         err << "tgdkit: --spill-segment-kb must be positive\n";
         return false;
@@ -852,8 +856,8 @@ int CmdSolve(CliContext* ctx, std::ostream& out, std::ostream& err) {
   }
   ExchangeResult result = Solve(&ctx->arena, &ctx->vocab, mapping,
                                 *instance, ctx->limits);
-  Instance core = CoreSolution(&ctx->arena, &ctx->vocab, mapping, *instance,
-                               ctx->limits);
+  Instance core = CoreSolution(&ctx->arena, &ctx->vocab, result.solution,
+                               ctx->limits.budget);
   ResourceGovernor render = RenderGovernor(ctx->limits.budget);
   ChunkedWriter writer(&out);
   writer.Append(Cat("# ", result.IsUniversal() ? "universal" : "TRUNCATED",

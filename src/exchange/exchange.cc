@@ -43,13 +43,10 @@ ExchangeResult Solve(TermArena* arena, Vocabulary* vocab,
 }
 
 Instance CoreSolution(TermArena* arena, Vocabulary* vocab,
-                      const SchemaMapping& mapping, const Instance& source,
-                      ChaseLimits limits) {
-  ExchangeResult result = Solve(arena, vocab, mapping, source, limits);
-  // Core minimization shares the caller's budget: on exhaustion it
-  // returns the best (possibly non-minimal) fold found so far.
-  ResourceGovernor governor(limits.budget);
-  return ComputeCore(arena, vocab, result.solution, &governor);
+                      const Instance& solution,
+                      const ExecutionBudget& budget) {
+  ResourceGovernor governor(budget);
+  return ComputeCore(arena, vocab, solution, &governor);
 }
 
 CertainAnswers TargetCertainAnswers(TermArena* arena, Vocabulary* vocab,

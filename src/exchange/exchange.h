@@ -44,11 +44,14 @@ ExchangeResult Solve(TermArena* arena, Vocabulary* vocab,
                      const SchemaMapping& mapping, const Instance& source,
                      ChaseLimits limits = {});
 
-/// The core solution: the core of the universal solution — the smallest
-/// universal solution, unique up to isomorphism.
+/// The core solution: the core of a universal solution — the smallest
+/// universal solution, unique up to isomorphism. Folds `solution` (as
+/// Solve returns it) under one governor built from `budget`. On
+/// exhaustion it returns the best, possibly non-minimal, fold found so
+/// far.
 Instance CoreSolution(TermArena* arena, Vocabulary* vocab,
-                      const SchemaMapping& mapping, const Instance& source,
-                      ChaseLimits limits = {});
+                      const Instance& solution,
+                      const ExecutionBudget& budget = {});
 
 /// Certain answers to a target query under the mapping (null-free answers
 /// over the materialized solution).

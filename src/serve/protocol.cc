@@ -94,7 +94,6 @@ Status ParseServeResponse(std::string_view line, ServeResponse* out) {
     return Status::InvalidArgument("response frame: unknown status");
   }
   out->exit_code = static_cast<int>(GetJsonI64(fields, "exit", 0));
-  out->cached = GetJsonBool(fields, "cached");
   out->duration_ms = GetJsonU64(fields, "duration_ms");
   out->out = GetJsonString(fields, "stdout");
   out->err = GetJsonString(fields, "stderr");
@@ -109,7 +108,6 @@ std::string RenderServeResponse(const ServeResponse& response) {
   AppendJsonString(&out, "status", ToString(response.status));
   if (response.status == ServeStatus::kOk) {
     AppendJsonRaw(&out, "exit", std::to_string(response.exit_code));
-    AppendJsonRaw(&out, "cached", response.cached ? "true" : "false");
     AppendJsonRaw(&out, "duration_ms",
                   std::to_string(response.duration_ms));
     AppendJsonString(&out, "stdout", response.out);

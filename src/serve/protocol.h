@@ -15,8 +15,8 @@
 // word; paths listed in file_names resolve to the paired file_contents
 // entry instead of the daemon's filesystem. Responses echo the id:
 //
-//   {"id":"r1","status":"ok","exit":0,"cached":false,
-//    "duration_ms":12,"stdout":"...","stderr":""}
+//   {"id":"r1","status":"ok","exit":0,"duration_ms":12,
+//    "stdout":"...","stderr":""}
 //
 // `status` is "ok" whenever the command ran (exit carries the normal
 // CLI exit code, stdout/stderr the byte-identical streams); every other
@@ -66,7 +66,6 @@ struct ServeResponse {
   std::string id;
   ServeStatus status = ServeStatus::kOk;
   int exit_code = 0;
-  bool cached = false;
   uint64_t duration_ms = 0;
   std::string out;
   std::string err;

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -15,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,7 +25,6 @@
 #include "base/strings.h"
 #include "base/thread_pool.h"
 #include "cli/cli.h"
-#include "serve/cache.h"
 #include "serve/protocol.h"
 #include "supervise/jsonl.h"
 #include "supervise/ledger.h"
@@ -51,23 +50,83 @@ bool IsServable(const std::string& command) {
   return false;
 }
 
-/// A request may enter the response cache only when replaying the cached
-/// bytes is indistinguishable from re-running it: no side-effecting
-/// options (checkpoints, spill files, snapshot resume), no subcommand
-/// with process-level effects. Filesystem reads are checked separately
-/// at completion (the file could change between requests).
-bool CacheEligible(const ServeRequest& request) {
-  if (request.command == "batch" || request.command == "selftest") {
-    return false;
-  }
-  for (const std::string& arg : request.args) {
-    if (arg == "--checkpoint" || arg == "--resume" ||
-        arg == "--spill-dir") {
-      return false;
-    }
-  }
-  return true;
+void HashString(size_t* seed, std::string_view text) {
+  HashCombine(seed, std::hash<std::string_view>{}(text));
+  HashCombine(seed, text.size());
 }
+
+/// Content hash of the parts of a request that determine its response:
+/// the ledger's `request_key`.
+uint64_t ServeRequestKey(const ServeRequest& request) {
+  size_t seed = 0xA11CE5ED;
+  HashString(&seed, request.command);
+  for (const std::string& arg : request.args) HashString(&seed, arg);
+  for (size_t i = 0; i < request.file_names.size(); ++i) {
+    HashString(&seed, request.file_names[i]);
+    HashString(&seed, request.file_contents[i]);
+  }
+  return seed;
+}
+
+/// Content hash of a request's inline files only: the quarantine key.
+/// Requests with no inline files hash their command + args instead, so
+/// hostile filesystem-path requests still accumulate strikes.
+uint64_t ServeRulesetKey(const ServeRequest& request) {
+  size_t seed = 0x0BADC0DE;
+  if (request.file_contents.empty()) {
+    HashString(&seed, request.command);
+    for (const std::string& arg : request.args) HashString(&seed, arg);
+    return seed;
+  }
+  for (const std::string& content : request.file_contents) {
+    HashString(&seed, content);
+  }
+  return seed;
+}
+
+/// The watchdog's memory: repeated in-flight failures (internal errors,
+/// hard deadline overruns) for the same ruleset hash trip a breaker, and
+/// further requests for that hash are refused with a typed `quarantined`
+/// response instead of burning another worker. A clean completion resets
+/// a breaker that has not tripped yet. Internally locked.
+class QuarantineRegistry {
+ public:
+  /// threshold == 0 disables quarantining entirely.
+  explicit QuarantineRegistry(uint32_t threshold) : threshold_(threshold) {}
+
+  /// Records one in-flight failure for the ruleset; returns true when
+  /// this strike tripped (or the hash already was at) the breaker.
+  bool Strike(uint64_t ruleset_key) {
+    if (threshold_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    uint32_t& strikes = strikes_[ruleset_key];
+    if (strikes < threshold_) ++strikes;
+    return strikes >= threshold_;
+  }
+
+  /// A request for this ruleset completed cleanly: reset the breaker.
+  void OnSuccess(uint64_t ruleset_key) {
+    if (threshold_ == 0) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = strikes_.find(ruleset_key);
+    // The breaker, once tripped, stays tripped: a request admitted
+    // before it tripped may still finish cleanly, and that must not
+    // re-arm a ruleset that kept wrecking workers.
+    if (it != strikes_.end() && it->second < threshold_) strikes_.erase(it);
+  }
+
+  bool IsQuarantined(uint64_t ruleset_key) const {
+    if (threshold_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = strikes_.find(ruleset_key);
+    return it != strikes_.end() && it->second >= threshold_;
+  }
+
+ private:
+  uint32_t threshold_;
+  mutable std::mutex mutex_;
+  std::unordered_map<uint64_t, uint32_t> strikes_;
+};
 
 struct Completion {
   uint64_t seq = 0;
@@ -123,12 +182,7 @@ struct Inflight {
   Clock::time_point abandon_at;
   bool cancelled = false;
   bool abandoned = false;
-  uint64_t request_key = 0;
   uint64_t ruleset_key = 0;
-  bool cache_eligible = false;
-  /// Set by the resolver when any input came from the daemon's
-  /// filesystem — such a response is never cached.
-  std::shared_ptr<std::atomic<bool>> touched_fs;
 };
 
 class Server {
@@ -137,7 +191,6 @@ class Server {
       : options_(options),
         out_(out),
         err_(err),
-        cache_(options.cache_bytes),
         quarantine_(options.quarantine_after) {}
 
   Result<ServeSummary> Run();
@@ -151,7 +204,7 @@ class Server {
 
   void AppendLedgerLine(const std::string& record);
   void LedgerRequest(const ServeRequest& request, uint64_t conn_id,
-                     uint64_t request_key, uint64_t ruleset_key);
+                     uint64_t ruleset_key);
   void LedgerResponse(const ServeResponse& response);
 
   void Respond(Connection& conn, const ServeResponse& response);
@@ -163,8 +216,7 @@ class Server {
   void ProcessInput(Connection& conn);
   void HandleFrame(Connection& conn, std::string line);
   void Admit(Connection& conn, ServeRequest request, uint64_t deadline_ms,
-             uint64_t memory_mb, uint64_t request_key,
-             uint64_t ruleset_key, bool cache_eligible);
+             uint64_t memory_mb, uint64_t ruleset_key);
   void DrainCompletions();
   void Watchdog(Clock::time_point now);
   void AbandonRequest(Inflight& request);
@@ -176,7 +228,6 @@ class Server {
   const ServeOptions& options_;
   std::ostream& out_;
   std::ostream& err_;
-  ResponseCache cache_;
   QuarantineRegistry quarantine_;
 
   uint32_t max_inflight_ = 0;
@@ -215,14 +266,15 @@ void Server::AppendLedgerLine(const std::string& record) {
 }
 
 void Server::LedgerRequest(const ServeRequest& request, uint64_t conn_id,
-                           uint64_t request_key, uint64_t ruleset_key) {
+                           uint64_t ruleset_key) {
   if (options_.ledger_path.empty()) return;
   std::string record = "{";
   AppendJsonString(&record, "type", "request");
   AppendJsonString(&record, "id", request.id);
   AppendJsonRaw(&record, "conn", std::to_string(conn_id));
   AppendJsonString(&record, "command", request.command);
-  AppendJsonRaw(&record, "request_key", std::to_string(request_key));
+  AppendJsonRaw(&record, "request_key",
+                std::to_string(ServeRequestKey(request)));
   AppendJsonRaw(&record, "ruleset_key", std::to_string(ruleset_key));
   record += '}';
   AppendLedgerLine(record);
@@ -238,7 +290,6 @@ void Server::LedgerResponse(const ServeResponse& response) {
   AppendJsonString(&record, "id", response.id);
   AppendJsonString(&record, "status", ToString(response.status));
   AppendJsonRaw(&record, "exit", std::to_string(response.exit_code));
-  AppendJsonRaw(&record, "cached", response.cached ? "true" : "false");
   AppendJsonRaw(&record, "duration_ms",
                 std::to_string(response.duration_ms));
   record += '}';
@@ -367,20 +418,6 @@ void Server::HandleFrame(Connection& conn, std::string line) {
                         "failures"));
     return;
   }
-  uint64_t request_key = ServeRequestKey(request);
-  bool cache_eligible = CacheEligible(request);
-  if (cache_eligible) {
-    if (std::optional<ServeResponse> hit = cache_.Get(request_key)) {
-      hit->id = request.id;
-      LedgerRequest(request, conn.id, request_key, ruleset_key);
-      LedgerResponse(*hit);
-      ++summary_.ok;
-      ++summary_.cache_hits;
-      ++responded_;
-      Respond(conn, *hit);
-      return;
-    }
-  }
   uint64_t deadline_ms = request.deadline_ms != 0
                              ? request.deadline_ms
                              : options_.default_deadline_ms;
@@ -403,14 +440,12 @@ void Server::HandleFrame(Connection& conn, std::string line) {
     Respond(conn, refusal);
     return;
   }
-  Admit(conn, std::move(request), deadline_ms, memory_mb, request_key,
-        ruleset_key, cache_eligible);
+  Admit(conn, std::move(request), deadline_ms, memory_mb, ruleset_key);
 }
 
 void Server::Admit(Connection& conn, ServeRequest request,
                    uint64_t deadline_ms, uint64_t memory_mb,
-                   uint64_t request_key, uint64_t ruleset_key,
-                   bool cache_eligible) {
+                   uint64_t ruleset_key) {
   uint64_t seq = ++request_seq_;
   Clock::time_point now = Clock::now();
   Inflight entry;
@@ -423,14 +458,11 @@ void Server::Admit(Connection& conn, ServeRequest request,
   entry.deadline = now + std::chrono::milliseconds(deadline_ms);
   entry.abandon_at =
       entry.deadline + std::chrono::milliseconds(options_.hard_grace_ms);
-  entry.request_key = request_key;
   entry.ruleset_key = ruleset_key;
-  entry.cache_eligible = cache_eligible;
-  entry.touched_fs = std::make_shared<std::atomic<bool>>(false);
   committed_deadline_ms_ += deadline_ms;
   committed_memory_mb_ += memory_mb;
   ++summary_.admitted;
-  LedgerRequest(request, conn.id, request_key, ruleset_key);
+  LedgerRequest(request, conn.id, ruleset_key);
 
   auto files =
       std::make_shared<std::unordered_map<std::string, std::string>>();
@@ -448,20 +480,18 @@ void Server::Admit(Connection& conn, ServeRequest request,
     argv.push_back(options_.worker_binary);
   }
   CancellationToken token = entry.cancel;
-  std::shared_ptr<std::atomic<bool>> touched = entry.touched_fs;
   std::shared_ptr<CompletionQueue> queue = completions_;
   std::string id = request.id;
   inflight_.emplace(seq, std::move(entry));
-  pool_->Post([queue, token, touched, files, argv = std::move(argv), seq,
+  pool_->Post([queue, token, files, argv = std::move(argv), seq,
                id = std::move(id)] {
     ApiOptions api;
     api.cancel = token;
     api.forbid_fork_workers = true;
-    api.resolver = [files, touched](const std::string& path)
-        -> std::optional<std::string> {
+    api.resolver =
+        [files](const std::string& path) -> std::optional<std::string> {
       auto it = files->find(path);
       if (it != files->end()) return it->second;
-      touched->store(true, std::memory_order_relaxed);
       return std::nullopt;
     };
     ServeResponse response;
@@ -498,13 +528,6 @@ void Server::DrainCompletions() {
       quarantine_.OnSuccess(entry.ruleset_key);
     }
     if (!entry.abandoned) {
-      // Strict request scoping: only a fully-validated verdict whose
-      // inputs were all inline may warm the cache.
-      if (entry.cache_eligible &&
-          (exit_code == kExitOk || exit_code == kExitVerdict) &&
-          !entry.touched_fs->load(std::memory_order_relaxed)) {
-        cache_.Put(entry.request_key, completion.response);
-      }
       LedgerResponse(completion.response);
       ++summary_.ok;
       ++responded_;
@@ -767,15 +790,12 @@ Result<ServeSummary> Server::Run() {
   close(wake_read_);
   wake_read_ = -1;
 
-  summary_.draining_refusals += 0;  // (kept explicit for readability)
   if (!options_.ledger_path.empty()) {
     std::string record = "{";
     AppendJsonString(&record, "type", "drain");
     AppendJsonString(&record, "reason", drain_reason_);
     AppendJsonRaw(&record, "admitted", std::to_string(summary_.admitted));
     AppendJsonRaw(&record, "ok", std::to_string(summary_.ok));
-    AppendJsonRaw(&record, "cache_hits",
-                  std::to_string(summary_.cache_hits));
     AppendJsonRaw(&record, "shed", std::to_string(summary_.shed));
     AppendJsonRaw(&record, "quarantined",
                   std::to_string(summary_.quarantined));
@@ -790,7 +810,6 @@ Result<ServeSummary> Server::Run() {
 
   out_ << "# serve: drained reason=" << drain_reason_
        << " admitted=" << summary_.admitted << " ok=" << summary_.ok
-       << " cache_hits=" << summary_.cache_hits
        << " shed=" << summary_.shed
        << " quarantined=" << summary_.quarantined
        << " bad_frames=" << summary_.bad_frames
@@ -823,7 +842,9 @@ int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
   options.shutdown = GlobalCancellationToken();
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot) {
+    // `max` bounds a value that is later scaled or narrowed, so that its
+    // stored form cannot wrap around.
+    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
       if (i + 1 >= args.size()) {
         err << "tgdkit: missing value for " << arg << "\n";
         return false;
@@ -835,7 +856,14 @@ int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
             << "\n";
         return false;
       }
-      *slot = std::strtoull(value.c_str(), nullptr, 10);
+      errno = 0;
+      uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
+      if (errno == ERANGE || parsed > max) {
+        err << "tgdkit: value '" << value << "' for " << arg
+            << " is out of range (at most " << max << ")\n";
+        return false;
+      }
+      *slot = parsed;
       return true;
     };
     auto pathval = [&](std::string* slot) {
@@ -862,7 +890,7 @@ int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
       }
       options.threads = static_cast<uint32_t>(value);
     } else if (arg == "--max-inflight") {
-      if (!numeric(&value)) return kExitUsage;
+      if (!numeric(&value, UINT32_MAX)) return kExitUsage;
       options.max_inflight = static_cast<uint32_t>(value);
     } else if (arg == "--max-commit-deadline-ms") {
       if (!numeric(&options.max_commit_deadline_ms)) return kExitUsage;
@@ -875,16 +903,14 @@ int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
     } else if (arg == "--hard-grace-ms") {
       if (!numeric(&options.hard_grace_ms)) return kExitUsage;
     } else if (arg == "--max-frame-kb") {
-      if (!numeric(&value) || value == 0) {
+      if (!numeric(&value, UINT64_MAX >> 10)) return kExitUsage;
+      if (value == 0) {
         err << "tgdkit: --max-frame-kb must be positive\n";
         return kExitUsage;
       }
-      options.max_frame_bytes = value * 1024;
-    } else if (arg == "--cache-mb") {
-      if (!numeric(&value)) return kExitUsage;
-      options.cache_bytes = value * 1024 * 1024;
+      options.max_frame_bytes = value << 10;
     } else if (arg == "--quarantine-after") {
-      if (!numeric(&value)) return kExitUsage;
+      if (!numeric(&value, UINT32_MAX)) return kExitUsage;
       options.quarantine_after = static_cast<uint32_t>(value);
     } else if (arg == "--ledger") {
       if (!pathval(&options.ledger_path)) return kExitUsage;

@@ -2,9 +2,11 @@
 //
 // One process, one poll loop, a fixed worker pool. Requests arrive as
 // line-delimited JSON frames (serve/protocol.h) over a Unix or local
-// TCP socket and execute through the request-scoped library API
-// (api/api.h), so a served answer is byte-identical to the one-shot CLI
-// for the same inputs. The robustness spine:
+// TCP socket, and every admitted request runs through the request-scoped
+// library API (api/api.h) exactly as the one-shot CLI runs it, so a
+// served answer is byte-identical to the CLI's for the same inputs.
+// Nothing is remembered between requests except the quarantine strikes.
+// The robustness spine:
 //
 //   * admission control — every request carries (or is assigned) a
 //     deadline and memory commitment; when the aggregate of admitted
@@ -22,10 +24,6 @@
 //   * quarantine — repeated in-flight failures (exit 5, hard overruns)
 //     for the same ruleset hash trip a breaker and further requests for
 //     that hash are refused without burning a worker;
-//   * strict request scoping — the response cache only ever learns a
-//     fully-validated success whose inputs were all inline, so a
-//     failed, cancelled or filesystem-dependent request can never
-//     poison it;
 //   * graceful drain — on SIGTERM the daemon stops accepting, lets
 //     in-flight requests finish for --drain-ms, then cancels them,
 //     then abandons the truly hostile, and flushes a durable JSONL
@@ -65,7 +63,6 @@ struct ServeOptions {
   uint64_t hard_grace_ms = 2000;
 
   uint64_t max_frame_bytes = 1u << 20;
-  uint64_t cache_bytes = 64u << 20;
   uint32_t quarantine_after = 3;
   /// Durable request/response/drain ledger (empty = no ledger).
   std::string ledger_path;
@@ -88,8 +85,7 @@ struct ServeOptions {
 
 struct ServeSummary {
   uint64_t admitted = 0;
-  uint64_t ok = 0;          // responses with status "ok" (incl. cached)
-  uint64_t cache_hits = 0;
+  uint64_t ok = 0;          // responses with status "ok"
   uint64_t shed = 0;        // overloaded refusals
   uint64_t quarantined = 0; // quarantined refusals
   uint64_t bad_frames = 0;

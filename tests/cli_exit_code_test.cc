@@ -80,6 +80,33 @@ TEST(ExitCodeTest, UsageErrorsExitOne) {
             kExitUsage);
   EXPECT_EQ(RunTool({"batch", "--not-an-option", "m"}).code, kExitUsage);
   EXPECT_EQ(RunTool({"batch"}).code, kExitUsage);
+  // Values whose scaled or narrowed form would wrap around: 2^44 MiB,
+  // 2^32, 2^54 KiB. The largest value that fits still parses (the
+  // missing input files then exit 2).
+  EXPECT_EQ(RunTool({"chase", "a", "b", "--max-memory-mb", "17592186044416"})
+                .code,
+            kExitUsage);
+  EXPECT_EQ(RunTool({"chase", "a", "b", "--max-memory-mb", "17592186044415"})
+                .code,
+            kExitInput);
+  EXPECT_EQ(RunTool({"chase", "a", "b", "--max-depth", "4294967296"}).code,
+            kExitUsage);
+  EXPECT_EQ(RunTool({"chase", "a", "b", "--max-depth", "4294967295"}).code,
+            kExitInput);
+  EXPECT_EQ(RunTool({"chase", "a", "b", "--spill-segment-kb",
+                     "18014398509481984"})
+                .code,
+            kExitUsage);
+  // serve rejects them before it binds anything.
+  CliRun frame = RunTool({"serve", "--max-frame-kb", "18014398509481984"});
+  EXPECT_EQ(frame.code, kExitUsage);
+  EXPECT_NE(frame.err.find("--max-frame-kb"), std::string::npos) << frame.err;
+  EXPECT_EQ(RunTool({"serve", "--max-inflight", "4294967296"}).code,
+            kExitUsage);
+  EXPECT_EQ(RunTool({"serve", "--quarantine-after", "4294967296"}).code,
+            kExitUsage);
+  // serve has no response cache to size.
+  EXPECT_EQ(RunTool({"serve", "--cache-mb", "64"}).code, kExitUsage);
 }
 
 TEST(ExitCodeTest, MissingOrUnparseableInputsExitTwo) {

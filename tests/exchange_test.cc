@@ -91,7 +91,7 @@ TEST_F(ExchangeTest, CoreSolutionIsNoLargerAndEquivalent) {
   SchemaMapping mapping = EmpMapping();
   Instance source = EmpSource();
   ExchangeResult plain = Solve(&ws_.arena, &ws_.vocab, mapping, source);
-  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, mapping, source);
+  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, plain.solution);
   EXPECT_LE(core.NumFacts(), plain.solution.NumFacts());
   EXPECT_TRUE(HomomorphicallyEquivalent(&ws_.arena, &ws_.vocab,
                                         plain.solution, core));
@@ -114,8 +114,29 @@ TEST_F(ExchangeTest, CoreSolutionCollapsesRedundancy) {
   source.AddFact(ws_.Fc("S", {"a"}));
   ExchangeResult plain = Solve(&ws_.arena, &ws_.vocab, mapping, source);
   EXPECT_EQ(plain.solution.NumFacts(), 2u);
-  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, mapping, source);
+  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, plain.solution);
   EXPECT_EQ(core.NumFacts(), 1u);
+}
+
+TEST_F(ExchangeTest, CoreSolutionFoldsTheGivenSolution) {
+  // A hand-built solution that no chase of a source produces:
+  // Mgr(alice, _N0) folds into Mgr(alice, boss); Mgr(bob, _N1) has
+  // nowhere to go.
+  RelationId mgr = ws_.vocab.InternRelation("Mgr", 2);
+  Instance solution(&ws_.vocab);
+  Value spare = solution.FreshNull();
+  Value kept = solution.FreshNull();
+  solution.AddFact(mgr, std::vector<Value>{ws_.Cv("alice"), ws_.Cv("boss")});
+  solution.AddFact(mgr, std::vector<Value>{ws_.Cv("alice"), spare});
+  solution.AddFact(mgr, std::vector<Value>{ws_.Cv("bob"), kept});
+
+  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, solution);
+  Instance expected(&ws_.vocab);
+  expected.EnsureNulls(solution.num_nulls());
+  expected.AddFact(mgr,
+                   std::vector<Value>{ws_.Cv("alice"), ws_.Cv("boss")});
+  expected.AddFact(mgr, std::vector<Value>{ws_.Cv("bob"), kept});
+  EXPECT_EQ(core.ToString(), expected.ToString());
 }
 
 TEST_F(ExchangeTest, HenkinBasedMapping) {
@@ -141,7 +162,7 @@ TEST_F(ExchangeTest, HenkinBasedMapping) {
   EXPECT_EQ(result.solution.NumTuples(ws_.vocab.FindRelation("Badge")), 3u);
   EXPECT_EQ(result.solution.NumTuples(ws_.vocab.FindRelation("Head")), 2u);
   // The solution is already a core: nothing is redundant.
-  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, mapping, source);
+  Instance core = CoreSolution(&ws_.arena, &ws_.vocab, result.solution);
   EXPECT_EQ(core.NumFacts(), result.solution.NumFacts());
 }
 

@@ -83,7 +83,6 @@ TEST(ServeProtocol, OkResponseRoundTrips) {
   response.id = "r1";
   response.status = ServeStatus::kOk;
   response.exit_code = 3;
-  response.cached = true;
   response.duration_ms = 12;
   response.out = "verdict line\n";
   response.err = "warning: something\n";
@@ -94,10 +93,27 @@ TEST(ServeProtocol, OkResponseRoundTrips) {
   EXPECT_EQ(parsed.id, "r1");
   EXPECT_EQ(parsed.status, ServeStatus::kOk);
   EXPECT_EQ(parsed.exit_code, 3);
-  EXPECT_TRUE(parsed.cached);
   EXPECT_EQ(parsed.duration_ms, 12u);
   EXPECT_EQ(parsed.out, response.out);
   EXPECT_EQ(parsed.err, response.err);
+}
+
+TEST(ServeProtocol, FramesFromOlderDaemonsWithACachedFieldStillParse) {
+  // Older daemons kept a response cache and sent `"cached":...` in every
+  // ok frame; captures and ledgers from them must still parse.
+  ServeResponse parsed;
+  ASSERT_TRUE(ParseServeResponse(
+                  "{\"id\":\"r1\",\"status\":\"ok\",\"exit\":0,"
+                  "\"cached\":true,\"duration_ms\":0,"
+                  "\"stdout\":\"x\\n\",\"stderr\":\"\"}",
+                  &parsed)
+                  .ok());
+  EXPECT_EQ(parsed.id, "r1");
+  EXPECT_EQ(parsed.status, ServeStatus::kOk);
+  EXPECT_EQ(parsed.exit_code, 0);
+  EXPECT_EQ(parsed.out, "x\n");
+  // This daemon never writes the field.
+  EXPECT_EQ(RenderServeResponse(parsed).find("cached"), std::string::npos);
 }
 
 TEST(ServeProtocol, RefusalRoundTripsWithRetryHint) {

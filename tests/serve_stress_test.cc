@@ -1,8 +1,8 @@
 // Concurrency stress for the serve daemon: many client threads hammer
-// one in-process server with a mix of identical requests (cache-hit
-// path), distinct rulesets (cache-miss + insert + eviction path), and
-// abrupt disconnects mid-request (cancellation path). Run under TSan
-// this is the data-race proof for the poll-loop / worker-pool / cache
+// one in-process server with a mix of identical requests (one shared
+// ruleset, run on several lanes at once), distinct rulesets, and abrupt
+// disconnects mid-request (cancellation path). Run under TSan this is
+// the data-race proof for the poll-loop / worker-pool / completion-queue
 // seams; under plain builds it is a correctness soak: every response
 // must parse, match its request id, and carry the right classification
 // output.
@@ -26,7 +26,7 @@
 namespace tgdkit {
 namespace {
 
-TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
+TEST(ServeStress, ConcurrentClientsSharedRulesetsAndDisconnects) {
   static int counter = 0;
   std::string dir = testing::TempDir() + "/tgdkit_serve_stress_" +
                     std::to_string(getpid()) + "_" +
@@ -39,8 +39,6 @@ TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
   options.max_inflight = 32;
   options.max_commit_deadline_ms = 1u << 24;
   options.max_commit_memory_mb = 1u << 24;
-  // Tiny cache: eviction churns constantly under the distinct rulesets.
-  options.cache_bytes = 16 * 1024;
   options.drain_ms = 30000;
   CancellationToken shutdown;
   options.shutdown = shutdown;
@@ -51,14 +49,15 @@ TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
     std::ostringstream out, err;
     Result<ServeSummary> result = RunServer(options, out, err);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (result.ok()) EXPECT_FALSE(result->stuck_workers);
+    if (result.ok()) {
+      EXPECT_FALSE(result->stuck_workers);
+    }
   });
   ready.get_future().wait();
 
   constexpr int kClients = 6;
   constexpr int kRequestsPerClient = 25;
   std::atomic<int> ok_count{0};
-  std::atomic<int> cached_count{0};
   std::atomic<int> failures{0};
 
   std::vector<std::thread> clients;
@@ -77,10 +76,10 @@ TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
         request.args = {"deps.tgd"};
         request.file_names = {"deps.tgd"};
         if (r % 3 == 0) {
-          // One shared ruleset: the cache-hit path.
+          // One shared ruleset, requested by every client.
           request.file_contents = {"p(X) -> q(X) .\n"};
         } else {
-          // Distinct per (client, request): the miss/insert/evict path.
+          // Distinct per (client, request).
           request.file_contents = {"p" + std::to_string(c) + "x" +
                                    std::to_string(r) +
                                    "(X) -> q(X) .\n"};
@@ -108,7 +107,6 @@ TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
           continue;
         }
         ++ok_count;
-        if (response->cached) ++cached_count;
       }
     });
   }
@@ -120,8 +118,6 @@ TEST(ServeStress, ConcurrentClientsCacheHitsAndDisconnects) {
   EXPECT_EQ(failures.load(), 0);
   // 6 clients * 25 requests, minus the ~1/7 that disconnect on purpose.
   EXPECT_GT(ok_count.load(), kClients * kRequestsPerClient / 2);
-  // The shared ruleset recurs ~50 times; most are hits.
-  EXPECT_GT(cached_count.load(), 10);
 }
 
 }  // namespace

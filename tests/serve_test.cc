@@ -158,60 +158,59 @@ TEST_F(ServeTest, EverySubcommandIsByteIdenticalToTheOneShotCli) {
     EXPECT_EQ(response.exit_code, cli_exit) << test_case.name;
     EXPECT_EQ(response.out, cli_out.str()) << test_case.name;
     EXPECT_EQ(response.err, cli_err.str()) << test_case.name;
-    EXPECT_FALSE(response.cached) << test_case.name;
   }
   ServeSummary summary = StopServer();
   EXPECT_EQ(summary.admitted, cases.size());
   EXPECT_EQ(summary.ok, cases.size());
-  EXPECT_EQ(summary.cache_hits, 0u);
 }
 
-TEST_F(ServeTest, IdenticalRequestsHitTheCacheByteIdentically) {
+TEST_F(ServeTest, IdenticalRequestsAreEachAdmittedByteIdentically) {
   StartServer();
   ServeClient client = Connect();
   ServeRequest request = InlineRequest("c1", "classify", {"deps.tgd"},
                                        {{"deps.tgd", "p(X) -> q(X) .\n"}});
   ServeResponse first = MustCall(client, request);
   ASSERT_EQ(first.status, ServeStatus::kOk);
-  EXPECT_FALSE(first.cached);
 
+  // The repeat runs again, like a second one-shot CLI call.
   request.id = "c2";
   ServeResponse second = MustCall(client, request);
   EXPECT_EQ(second.status, ServeStatus::kOk);
-  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(second.id, "c2");
   EXPECT_EQ(second.exit_code, first.exit_code);
   EXPECT_EQ(second.out, first.out);
   EXPECT_EQ(second.err, first.err);
 
-  // A different ruleset is a different key: no false sharing.
-  ServeRequest other = InlineRequest("c3", "classify", {"deps.tgd"},
-                                     {{"deps.tgd", "r(X) -> s(X) .\n"}});
-  ServeResponse third = MustCall(client, other);
-  EXPECT_EQ(third.status, ServeStatus::kOk);
-  EXPECT_FALSE(third.cached);
-
   ServeSummary summary = StopServer();
   EXPECT_EQ(summary.admitted, 2u);
-  EXPECT_EQ(summary.cache_hits, 1u);
-  EXPECT_EQ(summary.ok, 3u);
+  EXPECT_EQ(summary.ok, 2u);
 }
 
-TEST_F(ServeTest, RequestsReadingTheDaemonFilesystemAreNotCached) {
-  std::string deps = WriteInput("disk.tgd", "p(X) -> q(X) .\n");
+TEST_F(ServeTest, RequestsReadingTheDaemonFilesystemSeeItsEdits) {
+  std::string deps = WriteInput("disk.tgd", kDeps);
+  std::string inst = WriteInput("disk.inst", "Emp(a). Mgr(a, b).\n");
   StartServer();
   ServeClient client = Connect();
   // No inline files: the resolver falls back to the daemon's disk.
-  ServeRequest request = InlineRequest("d1", "classify", {deps});
+  ServeRequest request = InlineRequest("d1", "check", {deps, inst});
   ServeResponse first = MustCall(client, request);
   ASSERT_EQ(first.status, ServeStatus::kOk);
-  ASSERT_EQ(first.exit_code, 0);
+  ASSERT_EQ(first.exit_code, kExitOk) << first.out << first.err;
 
+  // Rewrite the instance between the two requests: the second answer
+  // must read the edit, as a one-shot CLI run after the edit does.
+  WriteInput("disk.inst", "Emp(a).\n");
+  std::ostringstream cli_out, cli_err;
+  int cli_exit = RunCli({"check", deps, inst}, cli_out, cli_err);
+  ASSERT_EQ(cli_exit, kExitVerdict) << cli_out.str() << cli_err.str();
   request.id = "d2";
   ServeResponse second = MustCall(client, request);
   EXPECT_EQ(second.status, ServeStatus::kOk);
-  EXPECT_FALSE(second.cached) << "filesystem reads must not warm the cache";
-  ServeSummary summary = StopServer();
-  EXPECT_EQ(summary.cache_hits, 0u);
+  EXPECT_EQ(second.exit_code, cli_exit);
+  EXPECT_EQ(second.out, cli_out.str());
+  EXPECT_EQ(second.err, cli_err.str());
+  EXPECT_NE(second.out, first.out);
+  StopServer();
 }
 
 TEST_F(ServeTest, OverloadShedsImmediatelyWithATypedResponse) {
@@ -434,7 +433,7 @@ TEST_F(ServeTest, LedgerRecordsEveryAnswerBeforeItIsSent) {
   ServeRequest request = InlineRequest("L1", "classify", {"deps.tgd"},
                                        {{"deps.tgd", "p(X) -> q(X) .\n"}});
   ASSERT_EQ(MustCall(client, request).status, ServeStatus::kOk);
-  request.id = "L2";  // cache hit: still one request + one response record
+  request.id = "L2";  // a repeat: its own request and response records
   ASSERT_EQ(MustCall(client, request).status, ServeStatus::kOk);
   // Refusals are stateless and must NOT be ledgered.
   ASSERT_TRUE(client.SendRaw("garbage\n").ok());

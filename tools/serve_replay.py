@@ -101,8 +101,8 @@ def call(sock_path, frame_bytes, read_reply=True, timeout=30.0):
 
 
 def make_request(rid, shared):
-    """One classify request; `shared` rulesets recur (cache-hit path),
-    others are unique per id (miss/insert path)."""
+    """One classify request; `shared` rulesets recur across ids (the same
+    quarantine key on several lanes at once), others are unique per id."""
     ruleset = DEPS if shared else f"p{rid.replace('-', 'x')}(X) -> q(X) .\n"
     return {"id": rid, "command": "classify", "args": ["deps.tgd"],
             "file_names": ["deps.tgd"], "file_contents": [ruleset]}
