@@ -162,31 +162,8 @@ bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
                   std::ostream& err) {
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    // `max` bounds a value that is later scaled or narrowed, so that its
-    // stored form cannot wrap around.
     auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      const std::string& value = args[++i];
-      // Validate by hand: std::stoull throws on garbage and silently
-      // accepts trailing junk; option values must be pure digits.
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        err << "tgdkit: invalid value '" << value << "' for " << arg
-            << "\n";
-        return false;
-      }
-      errno = 0;
-      uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
-      if (errno == ERANGE || parsed > max) {
-        err << "tgdkit: value '" << value << "' for " << arg
-            << " is out of range (at most " << max << ")\n";
-        return false;
-      }
-      *slot = parsed;
-      return true;
+      return ParseNumericFlag(args, &i, max, slot, err);
     };
     auto pathval = [&](std::string* slot) {
       if (i + 1 >= args.size()) {
@@ -955,13 +932,8 @@ int CmdSelftest(const std::vector<std::string>& args,
   bool has_die_exit = false, ignore_term = false;
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      *slot = std::strtoull(args[++i].c_str(), nullptr, 10);
-      return true;
+    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
+      return ParseNumericFlag(args, &i, max, slot, err);
     };
     if (arg == "--stdout-lines") {
       if (!numeric(&stdout_lines)) return kExitUsage;
@@ -972,7 +944,8 @@ int CmdSelftest(const std::vector<std::string>& args,
     } else if (arg == "--die-signal") {
       if (!numeric(&die_signal)) return kExitUsage;
     } else if (arg == "--die-exit") {
-      if (!numeric(&die_exit)) return kExitUsage;
+      // An exit status is one byte; a wider value would wrap.
+      if (!numeric(&die_exit, 255)) return kExitUsage;
       has_die_exit = true;
     } else if (arg == "--ignore-term") {
       ignore_term = true;
@@ -1036,19 +1009,8 @@ int CmdBatch(const std::vector<std::string>& args, const ApiOptions& api,
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto numeric = [&](uint64_t* slot, bool* explicit_flag) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      const std::string& value = args[++i];
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        err << "tgdkit: invalid value '" << value << "' for " << arg
-            << "\n";
-        return false;
-      }
-      *slot = std::strtoull(value.c_str(), nullptr, 10);
-      if (explicit_flag != nullptr) *explicit_flag = true;
+      if (!ParseNumericFlag(args, &i, UINT64_MAX, slot, err)) return false;
+      *explicit_flag = true;
       return true;
     };
     auto pathval = [&](std::string* slot) {
@@ -1218,20 +1180,8 @@ int CmdFuzz(const std::vector<std::string>& args, const ApiOptions& api,
   std::string replay_path;
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      const std::string& value = args[++i];
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        err << "tgdkit: invalid value '" << value << "' for " << arg
-            << "\n";
-        return false;
-      }
-      *slot = std::strtoull(value.c_str(), nullptr, 10);
-      return true;
+    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
+      return ParseNumericFlag(args, &i, max, slot, err);
     };
     auto pathval = [&](std::string* slot) {
       if (i + 1 >= args.size()) {
@@ -1262,7 +1212,7 @@ int CmdFuzz(const std::vector<std::string>& args, const ApiOptions& api,
       if (!pathval(&options.scratch_dir)) return kExitUsage;
     } else if (arg == "--shrink-rounds") {
       uint64_t rounds = 0;
-      if (!numeric(&rounds)) return kExitUsage;
+      if (!numeric(&rounds, UINT32_MAX)) return kExitUsage;
       options.shrink_attempts = static_cast<uint32_t>(rounds);
     } else if (arg == "--inject-bug") {
       if (!pathval(&options.inject_bug)) return kExitUsage;
@@ -1355,6 +1305,32 @@ int CmdFuzz(const std::vector<std::string>& args, const ApiOptions& api,
 }
 
 }  // namespace
+
+bool ParseNumericFlag(const std::vector<std::string>& args, size_t* i,
+                      uint64_t max, uint64_t* value, std::ostream& err) {
+  const std::string& flag = args[*i];
+  if (*i + 1 >= args.size()) {
+    err << "tgdkit: missing value for " << flag << "\n";
+    return false;
+  }
+  const std::string& text = args[++*i];
+  // Validate by hand: strtoull skips leading space, takes a sign and
+  // stops at trailing junk; option values must be pure digits.
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    err << "tgdkit: invalid value '" << text << "' for " << flag << "\n";
+    return false;
+  }
+  errno = 0;
+  uint64_t parsed = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE || parsed > max) {
+    err << "tgdkit: value '" << text << "' for " << flag
+        << " is out of range (at most " << max << ")\n";
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
 
 int ExitCodeForStop(StopReason stop) {
   return IsResourceStop(stop) ? kExitResource : kExitOk;

@@ -21,6 +21,7 @@
 // both going through RunCommand.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <ostream>
@@ -94,6 +95,16 @@ struct ApiOptions {
   /// a multithreaded process can deadlock in the child.
   bool forbid_fork_workers = false;
 };
+
+/// Reads the value of the numeric option `args[*i]` from `args[*i + 1]`
+/// and advances `*i` past it. The value must be decimal digits only and
+/// at most `max`, which bounds a value that is later scaled or narrowed
+/// so that its stored form cannot wrap around. Otherwise writes a
+/// diagnostic naming the option to `err` and returns false, which every
+/// caller reports as kExitUsage. All numeric flags of every subcommand,
+/// serve included, are read through it.
+bool ParseNumericFlag(const std::vector<std::string>& args, size_t* i,
+                      uint64_t max, uint64_t* value, std::ostream& err);
 
 /// Runs one subcommand invocation. `args` excludes the program name.
 /// Returns a process exit code from the ExitCode table. Thread-safe:

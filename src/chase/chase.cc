@@ -135,12 +135,8 @@ void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
   for (size_t i = slice.begin; i < slice.end; ++i) {
     rows.push_back(slice.delta ? static_cast<uint32_t>(i) : split.Row(i));
   }
-  if (slice.delta) {
-    out->steps += rows.size();  // one step per delta row scanned
-    matcher.ForEachSeededBy(slice.root_atom, rows, emit, controls);
-  } else {
-    matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
-  }
+  if (slice.delta) out->steps += rows.size();  // one per delta row scanned
+  matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
 }
 
 /// Row count of `rel` in a per-relation window map (0 when absent).

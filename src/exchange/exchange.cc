@@ -34,9 +34,11 @@ ExchangeResult Solve(TermArena* arena, Vocabulary* vocab,
   ChaseResult chased = Chase(arena, vocab, mapping.rules, source, limits);
   ExchangeResult out{Instance(&source.vocab()), chased.stop_reason};
   out.solution.EnsureNulls(chased.instance.num_nulls());
-  for (const Fact& fact : chased.instance.AllFacts()) {
-    if (mapping.target_relations.count(fact.relation)) {
-      out.solution.AddFact(fact);
+  for (RelationId rel : chased.instance.ActiveRelations()) {
+    if (!mapping.target_relations.count(rel)) continue;
+    for (size_t row = 0, n = chased.instance.NumTuples(rel); row < n; ++row) {
+      out.solution.AddFact(
+          rel, chased.instance.Tuple(rel, static_cast<uint32_t>(row)));
     }
   }
   return out;

@@ -243,24 +243,6 @@ Matcher::RootSplit Matcher::PlanRoot(std::span<const Value> seed) const {
   return split;
 }
 
-size_t Matcher::ForEachSeededBy(int pivot, std::span<const uint32_t> rows,
-                                const Callback& callback,
-                                const SearchControls& controls) const {
-  assert(pivot >= 0 && static_cast<size_t>(pivot) < plans_.size());
-  SearchState state;
-  InitState({}, callback, controls, &state);
-  const AtomPlan& plan = plans_[pivot];
-  for (uint32_t row : rows) {
-    std::fill(state.binding.begin(), state.binding.end(), Value());
-    if (BindTuple(plan, instance_->Tuple(plan.relation, row), &state.binding,
-                  nullptr)) {
-      Search(&state, plans_.size());
-    }
-    if (state.stopped) break;
-  }
-  return state.emitted;
-}
-
 size_t Matcher::ForEachFromRoot(std::span<const Value> seed, int root_atom,
                                 std::span<const uint32_t> rows,
                                 const Callback& callback,

@@ -842,29 +842,8 @@ int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
   options.shutdown = GlobalCancellationToken();
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    // `max` bounds a value that is later scaled or narrowed, so that its
-    // stored form cannot wrap around.
     auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      const std::string& value = args[++i];
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        err << "tgdkit: invalid value '" << value << "' for " << arg
-            << "\n";
-        return false;
-      }
-      errno = 0;
-      uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
-      if (errno == ERANGE || parsed > max) {
-        err << "tgdkit: value '" << value << "' for " << arg
-            << " is out of range (at most " << max << ")\n";
-        return false;
-      }
-      *slot = parsed;
-      return true;
+      return ParseNumericFlag(args, &i, max, slot, err);
     };
     auto pathval = [&](std::string* slot) {
       if (i + 1 >= args.size()) {

@@ -107,6 +107,17 @@ TEST(ExitCodeTest, UsageErrorsExitOne) {
             kExitUsage);
   // serve has no response cache to size.
   EXPECT_EQ(RunTool({"serve", "--cache-mb", "64"}).code, kExitUsage);
+  // batch, fuzz and selftest read their numbers like every other command:
+  // digits only, no overflow, and narrowed values bounded.
+  EXPECT_EQ(RunTool({"batch", "--max-parallel", "99999999999999999999999",
+                     "/nonexistent/m"})
+                .code,
+            kExitUsage);
+  EXPECT_EQ(
+      RunTool({"fuzz", "--shrink-rounds", "4294967296", "--seeds", "0"}).code,
+      kExitUsage);
+  EXPECT_EQ(RunTool({"selftest", "--spin-ms", "12x"}).code, kExitUsage);
+  EXPECT_EQ(RunTool({"selftest", "--die-exit", "256"}).code, kExitUsage);
 }
 
 TEST(ExitCodeTest, MissingOrUnparseableInputsExitTwo) {
