@@ -942,7 +942,7 @@ int CmdSelftest(const std::vector<std::string>& args,
     } else if (arg == "--spin-ms") {
       if (!numeric(&spin_ms)) return kExitUsage;
     } else if (arg == "--die-signal") {
-      if (!numeric(&die_signal)) return kExitUsage;
+      if (!numeric(&die_signal, NSIG - 1)) return kExitUsage;
     } else if (arg == "--die-exit") {
       // An exit status is one byte; a wider value would wrap.
       if (!numeric(&die_exit, 255)) return kExitUsage;
@@ -992,6 +992,11 @@ int CmdSelftest(const std::vector<std::string>& args,
     out.flush();
     err.flush();
     std::raise(static_cast<int>(die_signal));
+    // Still here: the signal is ignored or handled (SIGCHLD, SIGTERM),
+    // and a task meant to crash must not complete.
+    err << "tgdkit: selftest: signal " << die_signal
+        << " did not end the process\n";
+    return kExitInternal;
   }
   if (has_die_exit) return static_cast<int>(die_exit);
   out << "# status: OK\n";

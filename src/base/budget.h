@@ -88,10 +88,6 @@ struct ExecutionBudget {
   /// directly charged bytes.
   uint64_t max_memory_bytes = 0;
   CancellationToken cancel;
-
-  bool IsUnlimited() const {
-    return max_steps == 0 && deadline_ms == 0 && max_memory_bytes == 0;
-  }
 };
 
 /// Poll-based guard enforcing an ExecutionBudget.
@@ -182,7 +178,6 @@ class ResourceGovernor {
   /// Lifetime steps across resumes: restored prior consumption plus this
   /// governor's own. This is the number engines should report.
   uint64_t total_steps() const { return prior_steps_ + steps_; }
-  uint64_t prior_steps() const { return prior_steps_; }
   /// Bytes at the last slow-path sample (sources + charged).
   uint64_t memory_bytes() const { return observed_bytes_; }
   /// Directly charged bytes (ChargeBytes), excluding prior consumption.

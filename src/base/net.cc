@@ -159,25 +159,4 @@ Status WriteAll(int fd, const std::string& data) {
   return Status::Ok();
 }
 
-Status ReadLine(int fd, std::string* line, size_t max_bytes) {
-  char c = 0;
-  for (;;) {
-    ssize_t n = read(fd, &c, 1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("read");
-    }
-    if (n == 0) {
-      if (line->empty()) return Status::NotFound("eof");
-      return Status::Ok();  // unterminated final line
-    }
-    if (c == '\n') return Status::Ok();
-    line->push_back(c);
-    if (line->size() > max_bytes) {
-      return Status::ResourceExhausted(
-          Cat("line exceeds ", max_bytes, " bytes"));
-    }
-  }
-}
-
 }  // namespace tgdkit

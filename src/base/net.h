@@ -40,9 +40,4 @@ Status SetNonBlocking(int fd, bool nonblocking);
 /// sockets (clients). EPIPE and other errors surface as Internal.
 Status WriteAll(int fd, const std::string& data);
 
-/// Reads until `\n` or EOF, appending to *line (the newline is not
-/// included). Returns NotFound at clean EOF with nothing read.
-/// For blocking sockets (clients); `max_bytes` guards runaway frames.
-Status ReadLine(int fd, std::string* line, size_t max_bytes);
-
 }  // namespace tgdkit

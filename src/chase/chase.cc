@@ -84,8 +84,8 @@ struct MatchSlice {
 
 /// Per-slice output slot: the matched body rows in enumeration order,
 /// flat (`matches` rows of one value per body slot), plus the staged step
-/// count (matcher probes, and for delta slices one step per delta row
-/// scanned — the serial engine's historical accounting). Charged to the
+/// count: matcher probes, the root's included, so a delta row's one
+/// charge is the probe that binds the pivot to it. Charged to the
 /// governor at merge time.
 struct SliceResult {
   std::vector<Value> values;
@@ -135,7 +135,6 @@ void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
   for (size_t i = slice.begin; i < slice.end; ++i) {
     rows.push_back(slice.delta ? static_cast<uint32_t>(i) : split.Row(i));
   }
-  if (slice.delta) out->steps += rows.size();  // one per delta row scanned
   matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
 }
 
@@ -794,12 +793,56 @@ ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
   return result;
 }
 
+namespace {
+
+/// The restricted chase behind RestrictedChaseTgds, one round per Step().
+class RestrictedChaseEngine {
+ public:
+  RestrictedChaseEngine(TermArena* arena, std::span<const Tgd> tgds,
+                        const Instance& input, const ChaseLimits& limits);
+
+  /// The governor registers the arena and the growing instance as memory
+  /// sources; moving the engine would invalidate them.
+  RestrictedChaseEngine(const RestrictedChaseEngine&) = delete;
+  RestrictedChaseEngine& operator=(const RestrictedChaseEngine&) = delete;
+
+  /// Runs rounds until fixpoint or a limit and moves the result out.
+  ChaseResult Run();
+
+ private:
+  /// Runs one full round. Returns true if at least one trigger fired and
+  /// no limit was hit; false ends the run (at a fixpoint unless Halt
+  /// recorded a stop).
+  bool Step();
+  void Halt(StopReason reason);
+  /// Stages one tgd's body matches in parallel over fixed-geometry root
+  /// slices, filtering out triggers whose head is already satisfiable
+  /// (Exists is uncounted, as in serial evaluation), then appends the
+  /// surviving body rows (one value per body slot) to `active` in slice
+  /// order — the serial enumeration order — and counts them into
+  /// `num_active`. `head_seed` maps each head slot to the body slot that
+  /// binds it, or -1. Returns false when the round halted.
+  bool StageActive(const Matcher& body_matcher, const Matcher& head_matcher,
+                   std::span<const int> head_seed, std::vector<Value>* active,
+                   size_t* num_active);
+
+  TermArena* arena_;
+  std::span<const Tgd> tgds_;
+  const ChaseLimits& limits_;
+  ResourceGovernor governor_;
+  std::unique_ptr<ThreadPool> pool_;
+  Instance instance_;
+  ChaseStop stop_reason_ = ChaseStop::kFixpoint;
+  uint64_t rounds_ = 0;
+  uint64_t facts_created_ = 0;
+};
+
 RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
                                              std::span<const Tgd> tgds,
                                              const Instance& input,
-                                             ChaseLimits limits)
+                                             const ChaseLimits& limits)
     : arena_(arena),
-      tgds_(tgds.begin(), tgds.end()),
+      tgds_(tgds),
       limits_(limits),
       governor_(limits.budget),
       pool_(std::make_unique<ThreadPool>(ResolveThreads(limits.threads))),
@@ -812,48 +855,9 @@ RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
   CopyFacts(input, &instance_);
 }
 
-RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
-                                             std::span<const Tgd> tgds,
-                                             RestrictedChaseState&& state,
-                                             ChaseLimits limits)
-    : arena_(arena),
-      tgds_(tgds.begin(), tgds.end()),
-      limits_(limits),
-      governor_(limits.budget),
-      pool_(std::make_unique<ThreadPool>(ResolveThreads(limits.threads))),
-      instance_(std::move(state.instance)) {
-  TermArena* arena_ptr = arena_;
-  governor_.AddMemorySource([arena_ptr] { return arena_ptr->ApproxBytes(); });
-  Instance* instance_ptr = &instance_;
-  governor_.AddMemorySource(
-      [instance_ptr] { return instance_ptr->ApproxBytes(); });
-  rounds_ = state.rounds;
-  facts_created_ = state.facts_created;
-  governor_.RestorePriorConsumption(state.governor_steps,
-                                    state.governor_charged_bytes);
-  if (state.done && state.stop_reason == ChaseStop::kFixpoint) {
-    done_ = true;
-  }
-  // Resource-stopped states re-open with stop_reason_ = kFixpoint; the
-  // state was captured between rounds, so Run() simply continues.
-}
-
 void RestrictedChaseEngine::Halt(StopReason reason) {
   governor_.MarkExhausted(reason);
   stop_reason_ = governor_.exhausted() ? governor_.reason() : reason;
-  done_ = true;
-}
-
-RestrictedChaseState RestrictedChaseEngine::CaptureState() const {
-  RestrictedChaseState state(&instance_.vocab());
-  state.instance = instance_;
-  state.done = done_;
-  state.stop_reason = stop_reason_;
-  state.rounds = rounds_;
-  state.facts_created = facts_created_;
-  state.governor_steps = governor_.total_steps();
-  state.governor_charged_bytes = governor_.total_charged_bytes();
-  return state;
 }
 
 bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
@@ -904,26 +908,13 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
   return true;
 }
 
-void RestrictedChaseEngine::SetCheckpointHook(
-    uint64_t every_rounds,
-    std::function<void(const RestrictedChaseEngine&)> hook) {
-  checkpoint_every_rounds_ = every_rounds == 0 ? 1 : every_rounds;
-  checkpoint_hook_ = std::move(hook);
-  rounds_since_checkpoint_ = 0;
-}
-
 bool RestrictedChaseEngine::Step() {
-  if (done_) return false;
   ChaseGuard guard(limits_, &governor_);
   if (!guard.BeginRound(rounds_)) {
     Halt(governor_.reason());
     return false;
   }
   ++rounds_;
-  // The restricted chase commits as it fires (fresh nulls per firing), so
-  // a state captured inside a round is not resumable; mark the round
-  // in-flight so Run() withholds the checkpoint hook on a mid-round halt.
-  in_round_ = true;
   Instance& j = instance_;
   bool any = false;
   for (const Tgd& tgd : tgds_) {
@@ -996,29 +987,12 @@ bool RestrictedChaseEngine::Step() {
       any = true;
     }
   }
-  in_round_ = false;
-  if (!any) {
-    done_ = true;
-    stop_reason_ = ChaseStop::kFixpoint;
-  }
   return any;
 }
 
-void RestrictedChaseEngine::Run() {
+ChaseResult RestrictedChaseEngine::Run() {
   while (Step()) {
-    if (checkpoint_hook_ &&
-        ++rounds_since_checkpoint_ >= checkpoint_every_rounds_) {
-      rounds_since_checkpoint_ = 0;
-      checkpoint_hook_(*this);
-    }
   }
-  // A final consistent point — unless the run halted inside a round: the
-  // partially-fired round is not resumable, so the last per-round
-  // checkpoint stays the authoritative one.
-  if (checkpoint_hook_ && !in_round_) checkpoint_hook_(*this);
-}
-
-ChaseResult RestrictedChaseEngine::TakeResult() {
   ChaseResult result{std::move(instance_), stop_reason_, rounds_,
                      facts_created_, {}};
   result.budget_steps = governor_.total_steps();
@@ -1026,13 +1000,14 @@ ChaseResult RestrictedChaseEngine::TakeResult() {
   return result;
 }
 
+}  // namespace
+
 ChaseResult RestrictedChaseTgds(TermArena* arena, Vocabulary* vocab,
                                 std::span<const Tgd> tgds,
                                 const Instance& input, ChaseLimits limits) {
   (void)vocab;
   RestrictedChaseEngine engine(arena, tgds, input, limits);
-  engine.Run();
-  return engine.TakeResult();
+  return engine.Run();
 }
 
 }  // namespace tgdkit

@@ -49,8 +49,8 @@ struct ChaseLimits {
   bool semi_naive = true;
   /// Cross-cutting resource budget (deadline, bytes, steps, cancellation)
   /// enforced by a ResourceGovernor on top of the structural caps above.
-  /// One chase step = one trigger processed or one matcher/delta row
-  /// probed.
+  /// One chase step = one trigger processed or one matcher row probed; a
+  /// semi-naive delta row costs the one probe that binds the pivot to it.
   ExecutionBudget budget;
   /// Execution lanes for round staging (1 = serial, 0 = one per hardware
   /// thread). Any value produces byte-identical results — instance text,
@@ -299,106 +299,12 @@ struct ChaseResult {
 ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
                   const Instance& input, ChaseLimits limits = {});
 
-/// Resumable state of the restricted chase. Unlike ChaseEngineState this
-/// is round-granular: it is only captured between rounds (the restricted
-/// chase invents fresh, unmemoized nulls per firing, so a mid-round replay
-/// would not be deterministic). The engine's checkpoint hook therefore
-/// fires after completed rounds, never inside one.
-struct RestrictedChaseState {
-  explicit RestrictedChaseState(const Vocabulary* vocab) : instance(vocab) {}
-
-  Instance instance;
-  bool done = false;
-  ChaseStop stop_reason = ChaseStop::kFixpoint;
-  uint64_t rounds = 0;
-  uint64_t facts_created = 0;
-  uint64_t governor_steps = 0;
-  uint64_t governor_charged_bytes = 0;
-};
-
-/// The classical restricted (standard) chase for first-order tgds as a
-/// steppable engine: a trigger fires only if its head cannot be satisfied
-/// by any extension homomorphism; new nulls are fresh per firing.
-/// Non-deterministic in general; this implementation processes triggers in
-/// a fixed order, so runs (and resumed runs) are reproducible.
-class RestrictedChaseEngine {
- public:
-  RestrictedChaseEngine(TermArena* arena, std::span<const Tgd> tgds,
-                        const Instance& input, ChaseLimits limits = {});
-
-  /// Resumes from a state captured between rounds. `arena` must hold the
-  /// contents it had at capture time. Resource-stopped states are
-  /// re-opened under the new limits; kFixpoint states stay complete.
-  RestrictedChaseEngine(TermArena* arena, std::span<const Tgd> tgds,
-                        RestrictedChaseState&& state,
-                        ChaseLimits limits = {});
-
-  RestrictedChaseEngine(const RestrictedChaseEngine&) = delete;
-  RestrictedChaseEngine& operator=(const RestrictedChaseEngine&) = delete;
-
-  /// Runs one full round. Returns true if at least one trigger fired and
-  /// no limit was hit.
-  bool Step();
-  /// Runs rounds until fixpoint or a limit, invoking the checkpoint hook
-  /// (if any) after each completed round.
-  void Run();
-
-  bool done() const { return done_; }
-  ChaseStop stop_reason() const { return stop_reason_; }
-  const ResourceGovernor& governor() const { return governor_; }
-
-  /// Effective execution lanes (ChaseLimits::threads with 0 resolved to
-  /// the hardware thread count).
-  unsigned threads() const { return pool_->threads(); }
-
-  /// Deep-copies the resumable state. Call between rounds (or after the
-  /// run ended); the checkpoint hook is invoked at exactly such points.
-  RestrictedChaseState CaptureState() const;
-
-  /// Round-granular checkpointing: after each completed round, once at
-  /// least `every_rounds` rounds have passed since the last call (0 = 1),
-  /// the hook receives the live engine to snapshot via CaptureState().
-  void SetCheckpointHook(uint64_t every_rounds,
-                         std::function<void(const RestrictedChaseEngine&)> hook);
-
-  /// Finalizes the run into a ChaseResult (moves the instance out).
-  ChaseResult TakeResult();
-
- private:
-  void Halt(StopReason reason);
-  /// Stages one tgd's body matches in parallel over fixed-geometry root
-  /// slices, filtering out triggers whose head is already satisfiable
-  /// (Exists is uncounted, as in serial evaluation), then appends the
-  /// surviving body rows (one value per body slot) to `active` in slice
-  /// order — the serial enumeration order — and counts them into
-  /// `num_active`. `head_seed` maps each head slot to the body slot that
-  /// binds it, or -1. Returns false when the round halted.
-  bool StageActive(const Matcher& body_matcher, const Matcher& head_matcher,
-                   std::span<const int> head_seed, std::vector<Value>* active,
-                   size_t* num_active);
-
-  TermArena* arena_;
-  std::vector<Tgd> tgds_;
-  ChaseLimits limits_;
-  ResourceGovernor governor_;
-  /// Staging lanes (never serialized; rebuilt from limits on resume).
-  std::unique_ptr<ThreadPool> pool_;
-  Instance instance_;
-  bool done_ = false;
-  ChaseStop stop_reason_ = ChaseStop::kFixpoint;
-  uint64_t rounds_ = 0;
-  uint64_t facts_created_ = 0;
-  std::function<void(const RestrictedChaseEngine&)> checkpoint_hook_;
-  uint64_t checkpoint_every_rounds_ = 1;
-  uint64_t rounds_since_checkpoint_ = 0;
-  /// True while a round is firing; a halt that leaves this set means the
-  /// engine state is mid-round and must not be offered for checkpointing.
-  bool in_round_ = false;
-};
-
-/// Convenience wrapper: restricted-chases `input` under `tgds` to fixpoint
-/// or limit. (`vocab` is unused but kept for signature symmetry with
-/// Chase.)
+/// The classical restricted (standard) chase for first-order tgds:
+/// chases `input` under `tgds` to fixpoint or limit, firing a trigger only
+/// if its head cannot be satisfied by any extension homomorphism; new
+/// nulls are fresh per firing. Non-deterministic in general; triggers are
+/// processed in a fixed order, so runs are reproducible. (`vocab` is
+/// unused but kept for signature symmetry with Chase.)
 ChaseResult RestrictedChaseTgds(TermArena* arena, Vocabulary* vocab,
                                 std::span<const Tgd> tgds,
                                 const Instance& input, ChaseLimits limits = {});

@@ -172,35 +172,9 @@ uint64_t ConfigBytes(const PcpConfig& config) {
 PcpSearchOutcome SolvePcpBudgeted(const PcpInstance& instance,
                                   uint32_t max_sequence_length,
                                   ResourceGovernor* governor) {
-  return SolvePcpResumable(instance, max_sequence_length, governor,
-                           /*resume_from=*/nullptr,
-                           /*checkpoint_hook=*/nullptr,
-                           /*checkpoint_every_configs=*/0);
-}
-
-PcpSearchOutcome SolvePcpResumable(
-    const PcpInstance& instance, uint32_t max_sequence_length,
-    ResourceGovernor* governor, const PcpSearchCheckpoint* resume_from,
-    const std::function<void(const PcpSearchCheckpoint&)>& checkpoint_hook,
-    uint64_t checkpoint_every_configs) {
   PcpSearchOutcome outcome;
   std::deque<PcpConfig> queue;
   std::set<std::pair<bool, std::vector<uint32_t>>> seen;
-  bool seeded = false;
-
-  if (resume_from != nullptr) {
-    seeded = resume_from->seeded;
-    outcome.configs = resume_from->configs;
-    for (const PcpSearchCheckpoint::Entry& e : resume_from->frontier) {
-      PcpConfig config{e.first_longer, e.overhang, e.sequence};
-      // The restored frontier and seen-set are live memory again: charge
-      // them against the new byte budget (past *steps*, in contrast, are
-      // history and are not re-charged).
-      if (governor != nullptr) governor->ChargeBytes(ConfigBytes(config));
-      queue.push_back(std::move(config));
-    }
-    seen.insert(resume_from->seen.begin(), resume_from->seen.end());
-  }
 
   auto poll = [&]() {
     ++outcome.configs;
@@ -210,52 +184,24 @@ PcpSearchOutcome SolvePcpResumable(
     return false;
   };
 
-  auto capture = [&]() {
-    PcpSearchCheckpoint cp;
-    cp.seeded = seeded;
-    cp.configs = outcome.configs;
-    cp.frontier.reserve(queue.size());
-    for (const PcpConfig& c : queue) {
-      cp.frontier.push_back({c.first_longer, c.overhang, c.sequence});
+  // First selections.
+  for (uint32_t i = 0; i < instance.pairs.size(); ++i) {
+    if (!poll()) return outcome;
+    PcpConfig start{true, {}, {}};
+    PcpConfig next;
+    if (!Extend(start, instance.pairs[i].first, instance.pairs[i].second,
+                &next)) {
+      continue;
     }
-    cp.seen.assign(seen.begin(), seen.end());
-    return cp;
-  };
-
-  uint64_t expansions_since_checkpoint = 0;
-  auto checkpoint_due = [&]() {
-    if (!checkpoint_hook) return;
-    ++expansions_since_checkpoint;
-    if (expansions_since_checkpoint <
-        std::max<uint64_t>(checkpoint_every_configs, 1)) {
-      return;
+    next.sequence = {i + 1};
+    if (next.overhang.empty()) {
+      outcome.witness = std::move(next.sequence);
+      return outcome;
     }
-    expansions_since_checkpoint = 0;
-    checkpoint_hook(capture());
-  };
-
-  if (!seeded) {
-    // First selections.
-    for (uint32_t i = 0; i < instance.pairs.size(); ++i) {
-      if (!poll()) return outcome;
-      PcpConfig start{true, {}, {}};
-      PcpConfig next;
-      if (!Extend(start, instance.pairs[i].first, instance.pairs[i].second,
-                  &next)) {
-        continue;
-      }
-      next.sequence = {i + 1};
-      if (next.overhang.empty()) {
-        outcome.witness = std::move(next.sequence);
-        return outcome;
-      }
-      if (seen.insert(next.Key()).second) {
-        if (governor != nullptr) governor->ChargeBytes(ConfigBytes(next));
-        queue.push_back(std::move(next));
-      }
+    if (seen.insert(next.Key()).second) {
+      if (governor != nullptr) governor->ChargeBytes(ConfigBytes(next));
+      queue.push_back(std::move(next));
     }
-    seeded = true;
-    checkpoint_due();
   }
 
   while (!queue.empty()) {
@@ -281,9 +227,6 @@ PcpSearchOutcome SolvePcpResumable(
         }
       }
     }
-    // Expansion boundary: the state (queue + seen + configs) is exactly
-    // what a resumed search needs to continue deterministically.
-    checkpoint_due();
   }
   return outcome;
 }

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -99,41 +98,6 @@ struct PcpSearchOutcome {
 PcpSearchOutcome SolvePcpBudgeted(const PcpInstance& instance,
                                   uint32_t max_sequence_length,
                                   ResourceGovernor* governor);
-
-/// Resumable state of the budgeted PCP search. Captured only at expansion
-/// boundaries (before a frontier configuration is popped), so a resumed
-/// search replays the interrupted expansion from its start; the seen-set
-/// makes expansion idempotent and the search deterministic, hence the
-/// continuation is identical to the uninterrupted run.
-struct PcpSearchCheckpoint {
-  struct Entry {
-    bool first_longer = false;
-    std::vector<uint32_t> overhang;
-    std::vector<uint32_t> sequence;
-  };
-  /// True once the first-selections pass over the pairs has completed.
-  bool seeded = false;
-  /// Lifetime configurations expanded (budget polls), across resumes.
-  uint64_t configs = 0;
-  /// The BFS queue, front first.
-  std::vector<Entry> frontier;
-  /// The seen-set keys (first_longer, overhang), in set order.
-  std::vector<std::pair<bool, std::vector<uint32_t>>> seen;
-};
-
-/// SolvePcpBudgeted with checkpoint/resume support. When `resume_from` is
-/// non-null the search continues from that checkpoint instead of starting
-/// fresh (`outcome.configs` then counts lifetime expansions). When
-/// `checkpoint_hook` is non-null it receives a consistent checkpoint every
-/// `checkpoint_every_configs` expansions (0 = every expansion). The
-/// restored frontier/seen-set are live memory again and are re-charged
-/// against `governor`'s byte budget; past steps are not re-charged (the
-/// governor's step budget applies to new work only).
-PcpSearchOutcome SolvePcpResumable(
-    const PcpInstance& instance, uint32_t max_sequence_length,
-    ResourceGovernor* governor, const PcpSearchCheckpoint* resume_from,
-    const std::function<void(const PcpSearchCheckpoint&)>& checkpoint_hook,
-    uint64_t checkpoint_every_configs);
 
 /// Checks a candidate solution (1-based pair indexes).
 bool CheckPcpSolution(const PcpInstance& instance,

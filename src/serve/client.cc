@@ -1,6 +1,5 @@
 #include "serve/client.h"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -50,10 +49,6 @@ void ServeClient::Close() {
     close(fd_);
     fd_ = -1;
   }
-}
-
-void ServeClient::CloseWrite() {
-  if (fd_ >= 0) shutdown(fd_, SHUT_WR);
 }
 
 Status ServeClient::Send(const ServeRequest& request) {

@@ -39,9 +39,6 @@ class ServeClient {
   /// Send/ReadResponse).
   Result<ServeResponse> Call(const ServeRequest& request);
 
-  /// Half-closes the write side (the server sees EOF but can still
-  /// flush pending responses). Shutdown of both sides = Close().
-  void CloseWrite();
   void Close();
 
   int fd() const { return fd_; }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "base/fileio.h"
@@ -449,10 +450,10 @@ bool ReadAtoms(Reader* r, const Vocabulary& vocab, const TermArena& arena,
 // ---------------------------------------------------------------------------
 // Engine-state sections
 
-void WriteCounters(std::string_view done_tag, bool done, StopReason stop,
-                   uint64_t rounds, uint64_t facts, uint64_t gsteps,
-                   uint64_t gbytes, Writer* w) {
-  w->Word(done_tag);
+void WriteCounters(bool done, StopReason stop, uint64_t rounds,
+                   uint64_t facts, uint64_t gsteps, uint64_t gbytes,
+                   Writer* w) {
+  w->Word("engine");
   w->U64(done ? 1 : 0);
   w->U64(static_cast<uint64_t>(stop));
   w->U64(rounds);
@@ -462,12 +463,11 @@ void WriteCounters(std::string_view done_tag, bool done, StopReason stop,
   w->EndLine();
 }
 
-bool ReadCounters(Reader* r, std::string_view done_tag, bool* done,
-                  StopReason* stop, uint64_t* rounds, uint64_t* facts,
-                  uint64_t* gsteps, uint64_t* gbytes) {
+bool ReadCounters(Reader* r, bool* done, StopReason* stop, uint64_t* rounds,
+                  uint64_t* facts, uint64_t* gsteps, uint64_t* gbytes) {
   uint64_t done_v = 0;
   uint64_t stop_v = 0;
-  if (!r->Expect(done_tag) || !r->U64(&done_v) || !r->U64(&stop_v) ||
+  if (!r->Expect("engine") || !r->U64(&done_v) || !r->U64(&stop_v) ||
       !r->U64(rounds) || !r->U64(facts) || !r->U64(gsteps) ||
       !r->U64(gbytes)) {
     return false;
@@ -793,7 +793,7 @@ std::string SerializeChaseSnapshot(const Vocabulary& vocab,
   WriteVocab(vocab, &w);
   WriteArena(arena, &w);
   WriteSoTgd(rules, &w);
-  WriteCounters("engine", state.done, state.stop_reason, state.rounds,
+  WriteCounters(state.done, state.stop_reason, state.rounds,
                 state.facts_created, state.governor_steps,
                 state.governor_charged_bytes, &w);
   w.Word("t2v");
@@ -874,9 +874,9 @@ Result<ChaseSnapshot> ParseChaseSnapshot(std::string_view bytes,
 
   snap.state = std::make_unique<ChaseEngineState>(snap.vocab.get());
   ChaseEngineState& state = *snap.state;
-  if (!ReadCounters(&r, "engine", &state.done, &state.stop_reason,
-                    &state.rounds, &state.facts_created,
-                    &state.governor_steps, &state.governor_charged_bytes)) {
+  if (!ReadCounters(&r, &state.done, &state.stop_reason, &state.rounds,
+                    &state.facts_created, &state.governor_steps,
+                    &state.governor_charged_bytes)) {
     return std::move(r).TakeError();
   }
 
@@ -968,227 +968,6 @@ Result<ChaseSnapshot> LoadChaseSnapshot(const std::string& path,
   Result<std::string> bytes = ReadFileBytes(path);
   if (!bytes.ok()) return bytes.status();
   return ParseChaseSnapshot(*bytes, spill_dir);
-}
-
-// ---------------------------------------------------------------------------
-// Restricted chase
-
-std::string SerializeRestrictedSnapshot(const Vocabulary& vocab,
-                                        const TermArena& arena,
-                                        std::span<const Tgd> tgds,
-                                        const RestrictedChaseState& state,
-                                        uint64_t seed, uint64_t rng_state) {
-  Writer w;
-  w.Word("seed");
-  w.U64(seed);
-  w.Word("rng");
-  w.U64(rng_state);
-  w.EndLine();
-  WriteVocab(vocab, &w);
-  WriteArena(arena, &w);
-  w.Word("tgds");
-  w.U64(tgds.size());
-  w.EndLine();
-  for (const Tgd& tgd : tgds) {
-    w.Word("body");
-    WriteAtoms(tgd.body, &w);
-    w.Word("head");
-    WriteAtoms(tgd.head, &w);
-    w.Word("exist");
-    w.U64(tgd.exist_vars.size());
-    for (VariableId v : tgd.exist_vars) w.U64(v);
-    w.EndLine();
-  }
-  WriteCounters("engine", state.done, state.stop_reason, state.rounds,
-                state.facts_created, state.governor_steps,
-                state.governor_charged_bytes, &w);
-  WriteInstance(state.instance, &w);
-  w.Word("end");
-  w.EndLine();
-  return WrapEnvelope("restricted", std::move(w).Take());
-}
-
-Status SaveRestrictedSnapshot(const std::string& path,
-                              const Vocabulary& vocab, const TermArena& arena,
-                              std::span<const Tgd> tgds,
-                              const RestrictedChaseState& state,
-                              uint64_t seed, uint64_t rng_state) {
-  return AtomicWriteFile(
-      path, SerializeRestrictedSnapshot(vocab, arena, tgds, state, seed,
-                                        rng_state));
-}
-
-Result<RestrictedSnapshot> ParseRestrictedSnapshot(std::string_view bytes) {
-  Result<std::string_view> payload = UnwrapEnvelope(bytes, "restricted");
-  if (!payload.ok()) return payload.status();
-  Reader r(*payload);
-
-  RestrictedSnapshot snap;
-  snap.vocab = std::make_unique<Vocabulary>();
-  snap.arena = std::make_unique<TermArena>();
-  if (!r.Expect("seed") || !r.U64(&snap.seed) || !r.Expect("rng") ||
-      !r.U64(&snap.rng_state) || !ReadVocab(&r, snap.vocab.get()) ||
-      !ReadArena(&r, *snap.vocab, snap.arena.get())) {
-    return std::move(r).TakeError();
-  }
-  uint64_t n = 0;
-  if (!r.Expect("tgds") || !r.Count(&n)) return std::move(r).TakeError();
-  for (uint64_t i = 0; i < n; ++i) {
-    Tgd tgd;
-    uint64_t exist = 0;
-    if (!r.Expect("body") || !ReadAtoms(&r, *snap.vocab, *snap.arena,
-                                        &tgd.body) ||
-        !r.Expect("head") || !ReadAtoms(&r, *snap.vocab, *snap.arena,
-                                        &tgd.head) ||
-        !r.Expect("exist") || !r.Count(&exist)) {
-      return std::move(r).TakeError();
-    }
-    for (uint64_t j = 0; j < exist; ++j) {
-      uint32_t v = 0;
-      if (!r.U32(&v)) return std::move(r).TakeError();
-      if (v >= snap.vocab->num_variables()) {
-        r.Fail("existential variable not in the vocabulary");
-        return std::move(r).TakeError();
-      }
-      tgd.exist_vars.push_back(v);
-    }
-    snap.tgds.push_back(std::move(tgd));
-  }
-
-  snap.state = std::make_unique<RestrictedChaseState>(snap.vocab.get());
-  RestrictedChaseState& state = *snap.state;
-  if (!ReadCounters(&r, "engine", &state.done, &state.stop_reason,
-                    &state.rounds, &state.facts_created,
-                    &state.governor_steps, &state.governor_charged_bytes) ||
-      !ReadInstance(&r, snap.vocab.get(), &state.instance,
-                    /*spill_dir=*/"")) {
-    return std::move(r).TakeError();
-  }
-  if (!r.Expect("end") || !r.AtEnd()) {
-    r.Fail("trailing bytes after the end marker");
-    return std::move(r).TakeError();
-  }
-  return snap;
-}
-
-Result<RestrictedSnapshot> LoadRestrictedSnapshot(const std::string& path) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseRestrictedSnapshot(*bytes);
-}
-
-// ---------------------------------------------------------------------------
-// PCP oracle search
-
-std::string SerializePcpCheckpoint(const PcpSearchCheckpoint& checkpoint) {
-  Writer w;
-  w.Word("seeded");
-  w.U64(checkpoint.seeded ? 1 : 0);
-  w.Word("configs");
-  w.U64(checkpoint.configs);
-  w.EndLine();
-  w.Word("frontier");
-  w.U64(checkpoint.frontier.size());
-  w.EndLine();
-  for (const PcpSearchCheckpoint::Entry& e : checkpoint.frontier) {
-    w.U64(e.first_longer ? 1 : 0);
-    w.U64(e.overhang.size());
-    for (uint32_t s : e.overhang) w.U64(s);
-    w.U64(e.sequence.size());
-    for (uint32_t s : e.sequence) w.U64(s);
-    w.EndLine();
-  }
-  w.Word("seen");
-  w.U64(checkpoint.seen.size());
-  w.EndLine();
-  for (const auto& [first_longer, overhang] : checkpoint.seen) {
-    w.U64(first_longer ? 1 : 0);
-    w.U64(overhang.size());
-    for (uint32_t s : overhang) w.U64(s);
-    w.EndLine();
-  }
-  w.Word("end");
-  w.EndLine();
-  return WrapEnvelope("pcp", std::move(w).Take());
-}
-
-Status SavePcpCheckpoint(const std::string& path,
-                         const PcpSearchCheckpoint& checkpoint) {
-  return AtomicWriteFile(path, SerializePcpCheckpoint(checkpoint));
-}
-
-Result<PcpSearchCheckpoint> ParsePcpCheckpoint(std::string_view bytes) {
-  Result<std::string_view> payload = UnwrapEnvelope(bytes, "pcp");
-  if (!payload.ok()) return payload.status();
-  Reader r(*payload);
-
-  PcpSearchCheckpoint cp;
-  uint64_t seeded = 0;
-  uint64_t n = 0;
-  if (!r.Expect("seeded") || !r.U64(&seeded) || !r.Expect("configs") ||
-      !r.U64(&cp.configs) || !r.Expect("frontier") || !r.Count(&n)) {
-    return std::move(r).TakeError();
-  }
-  if (seeded > 1) {
-    r.Fail("bad seeded flag");
-    return std::move(r).TakeError();
-  }
-  cp.seeded = seeded == 1;
-  for (uint64_t i = 0; i < n; ++i) {
-    PcpSearchCheckpoint::Entry e;
-    uint64_t first_longer = 0;
-    uint64_t len = 0;
-    if (!r.U64(&first_longer) || !r.Count(&len)) {
-      return std::move(r).TakeError();
-    }
-    if (first_longer > 1) {
-      r.Fail("bad first-longer flag");
-      return std::move(r).TakeError();
-    }
-    e.first_longer = first_longer == 1;
-    for (uint64_t j = 0; j < len; ++j) {
-      uint32_t s = 0;
-      if (!r.U32(&s)) return std::move(r).TakeError();
-      e.overhang.push_back(s);
-    }
-    if (!r.Count(&len)) return std::move(r).TakeError();
-    for (uint64_t j = 0; j < len; ++j) {
-      uint32_t s = 0;
-      if (!r.U32(&s)) return std::move(r).TakeError();
-      e.sequence.push_back(s);
-    }
-    cp.frontier.push_back(std::move(e));
-  }
-  if (!r.Expect("seen") || !r.Count(&n)) return std::move(r).TakeError();
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t first_longer = 0;
-    uint64_t len = 0;
-    if (!r.U64(&first_longer) || !r.Count(&len)) {
-      return std::move(r).TakeError();
-    }
-    if (first_longer > 1) {
-      r.Fail("bad first-longer flag");
-      return std::move(r).TakeError();
-    }
-    std::vector<uint32_t> overhang;
-    for (uint64_t j = 0; j < len; ++j) {
-      uint32_t s = 0;
-      if (!r.U32(&s)) return std::move(r).TakeError();
-      overhang.push_back(s);
-    }
-    cp.seen.emplace_back(first_longer == 1, std::move(overhang));
-  }
-  if (!r.Expect("end") || !r.AtEnd()) {
-    r.Fail("trailing bytes after the end marker");
-    return std::move(r).TakeError();
-  }
-  return cp;
-}
-
-Result<PcpSearchCheckpoint> LoadPcpCheckpoint(const std::string& path) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParsePcpCheckpoint(*bytes);
 }
 
 std::string TaskCheckpointPath(const std::string& dir,

@@ -1,4 +1,5 @@
-// Crash-consistent checkpoint/resume for the semi-decision engines.
+// Crash-consistent checkpoint/resume for the Skolem chase, the
+// semi-decision procedure behind `tgdkit chase`.
 //
 // A snapshot is a single self-contained file: it carries the vocabulary,
 // the term arena, the rules and the engine's resumable state, so a
@@ -6,13 +7,15 @@
 // See docs/CHECKPOINTS.md for the format specification and the
 // consistency model.
 //
-// Durability: SaveX writes through AtomicWriteFile (temp + fsync +
-// rename), so a crash at any instant leaves either the previous complete
-// snapshot or the new complete snapshot — never a torn file — at `path`.
-// Integrity: the envelope carries the payload length and a CRC-32;
-// truncated or bit-flipped files are rejected with Status::DataLoss and a
-// snapshot written by a different format version with
-// Status::Unsupported. Loading never crashes on corrupt input.
+// Durability: SaveChaseSnapshot writes through AtomicWriteFile (temp +
+// fsync + rename), so a crash at any instant leaves either the previous
+// complete snapshot or the new complete snapshot — never a torn file — at
+// `path`. Integrity: the envelope carries the payload length and a
+// CRC-32; truncated or bit-flipped files are rejected with
+// Status::DataLoss, a snapshot written by a different format version
+// with Status::Unsupported, and one whose header names another kind than
+// `chase` with Status::InvalidArgument. Loading never crashes on corrupt
+// input.
 //
 // Derived state is never serialized: the instance's per-position hash
 // indexes are rebuilt fact-by-fact when the instance text is parsed back
@@ -24,16 +27,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "base/status.h"
 #include "base/vocabulary.h"
 #include "chase/chase.h"
 #include "dep/dependency.h"
-#include "oracle/oracle.h"
 #include "term/term.h"
 
 namespace tgdkit {
@@ -51,17 +51,6 @@ struct ChaseSnapshot {
   std::unique_ptr<TermArena> arena;
   SoTgd rules;
   std::unique_ptr<ChaseEngineState> state;
-};
-
-/// A loaded restricted-chase snapshot (round-granular; see
-/// RestrictedChaseState).
-struct RestrictedSnapshot {
-  uint64_t seed = 0;
-  uint64_t rng_state = 0;
-  std::unique_ptr<Vocabulary> vocab;
-  std::unique_ptr<TermArena> arena;
-  std::vector<Tgd> tgds;
-  std::unique_ptr<RestrictedChaseState> state;
 };
 
 // ---------------------------------------------------------------------------
@@ -94,9 +83,9 @@ Status SaveChaseSnapshot(const std::string& path, const Vocabulary& vocab,
 
 /// Parses snapshot bytes. DataLoss on truncation/corruption/garbage,
 /// Unsupported on a format version mismatch, InvalidArgument when the
-/// file is a valid snapshot of a different kind — or when it holds a
-/// segmented instance section and `spill_dir` is empty (the two-argument
-/// overload). A segmented snapshot streams its segment files from
+/// header names a kind other than `chase` (older builds also wrote
+/// `restricted` and `pcp` files) — or when the file holds a segmented
+/// instance section and `spill_dir` is empty (the two-argument overload). A segmented snapshot streams its segment files from
 /// `spill_dir` back through AddFact, re-sealing identical segments, and
 /// rejects a file that is missing, corrupt (DataLoss) or does not match
 /// the recorded row count / CRC.
@@ -110,28 +99,6 @@ Result<ChaseSnapshot> LoadChaseSnapshot(const std::string& path,
                                         const std::string& spill_dir);
 
 // ---------------------------------------------------------------------------
-// Restricted chase
-
-std::string SerializeRestrictedSnapshot(const Vocabulary& vocab,
-                                        const TermArena& arena,
-                                        std::span<const Tgd> tgds,
-                                        const RestrictedChaseState& state,
-                                        uint64_t seed, uint64_t rng_state);
-
-Status SaveRestrictedSnapshot(const std::string& path,
-                              const Vocabulary& vocab, const TermArena& arena,
-                              std::span<const Tgd> tgds,
-                              const RestrictedChaseState& state,
-                              uint64_t seed, uint64_t rng_state);
-
-Result<RestrictedSnapshot> ParseRestrictedSnapshot(std::string_view bytes);
-
-Result<RestrictedSnapshot> LoadRestrictedSnapshot(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// PCP oracle search
-
-// ---------------------------------------------------------------------------
 // Task-derived checkpoint paths (batch supervisor)
 
 /// The canonical checkpoint path for a supervised task:
@@ -141,17 +108,5 @@ Result<RestrictedSnapshot> LoadRestrictedSnapshot(const std::string& path);
 /// rerun deriving the same path for the same task id.
 std::string TaskCheckpointPath(const std::string& dir,
                                std::string_view task_id);
-
-// ---------------------------------------------------------------------------
-// PCP oracle search
-
-std::string SerializePcpCheckpoint(const PcpSearchCheckpoint& checkpoint);
-
-Status SavePcpCheckpoint(const std::string& path,
-                         const PcpSearchCheckpoint& checkpoint);
-
-Result<PcpSearchCheckpoint> ParsePcpCheckpoint(std::string_view bytes);
-
-Result<PcpSearchCheckpoint> LoadPcpCheckpoint(const std::string& path);
 
 }  // namespace tgdkit

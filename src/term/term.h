@@ -134,7 +134,6 @@ class Substitution {
 
   bool Contains(VariableId v) const { return map_.count(v) > 0; }
   size_t size() const { return map_.size(); }
-  void Clear() { map_.clear(); }
 
   /// Applies the substitution to `t`, leaving unbound variables in place.
   /// Result terms are interned in `arena` (which must own `t`).

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -118,6 +119,13 @@ TEST(ExitCodeTest, UsageErrorsExitOne) {
       kExitUsage);
   EXPECT_EQ(RunTool({"selftest", "--spin-ms", "12x"}).code, kExitUsage);
   EXPECT_EQ(RunTool({"selftest", "--die-exit", "256"}).code, kExitUsage);
+  // A signal number is below NSIG; std::raise would reject a larger one
+  // and return.
+  CliRun signal = RunTool({"selftest", "--die-signal", "99999"});
+  EXPECT_EQ(signal.code, kExitUsage);
+  EXPECT_NE(signal.err.find("--die-signal"), std::string::npos) << signal.err;
+  EXPECT_EQ(RunTool({"selftest", "--die-signal", std::to_string(NSIG)}).code,
+            kExitUsage);
 }
 
 TEST(ExitCodeTest, MissingOrUnparseableInputsExitTwo) {
@@ -251,6 +259,15 @@ TEST(ExitCodeTest, FailedCheckpointIsAnInternalError) {
 TEST(ExitCodeTest, SelftestDiesExactlyAsInstructed) {
   EXPECT_EQ(RunTool({"selftest"}).code, kExitOk);
   EXPECT_EQ(RunTool({"selftest", "--die-exit", "7"}).code, 7);
+  // SIGCHLD is ignored by default, so raising it returns: a task meant to
+  // crash must then fail, not report OK.
+  CliRun survived =
+      RunTool({"selftest", "--die-signal", std::to_string(SIGCHLD)});
+  EXPECT_EQ(survived.code, kExitInternal);
+  EXPECT_EQ(survived.out.find("# status: OK"), std::string::npos)
+      << survived.out;
+  EXPECT_NE(survived.err.find("tgdkit: selftest:"), std::string::npos)
+      << survived.err;
   EXPECT_EQ(RunTool({"selftest", "--bogus"}).code, kExitUsage);
   CliRun noisy = RunTool({"selftest", "--stdout-lines", "2", "--stderr-lines",
                       "1"});

@@ -183,9 +183,9 @@ TEST_F(SemiNaiveTest, DeltaPivotIsBoundOnce) {
   EXPECT_EQ(serial.rounds, 3u);
   EXPECT_EQ(serial.facts_created, 2 * rows);
   // Round 1: a scan probe and a trigger per P row (R is still empty).
-  // Round 2: per R delta row, one step for scanning it, one probe binding
-  // the pivot to it, and a trigger. Round 3 has no delta to search.
-  EXPECT_EQ(serial.budget_steps, 2 * rows + 3 * rows);
+  // Round 2: per R delta row, the one probe binding the pivot to it, and
+  // a trigger. Round 3 has no delta to search.
+  EXPECT_EQ(serial.budget_steps, 2 * rows + 2 * rows);
 
   ChaseLimits lanes;
   lanes.threads = 4;
@@ -207,11 +207,10 @@ TEST_F(SemiNaiveTest, DeltaPivotIsBoundOnce) {
 TEST_F(SemiNaiveTest, DeltaRowWithoutAPartnerPaysItsPivotProbe) {
   // Round 1 copies P into T; round 2's delta rows are T's, the pivot of
   // `join`, and only every tenth has an E partner. The pivot is bound to
-  // each delta row with one probe before E is looked up, so a row whose
-  // E lookup is empty still costs two steps: its scan and that probe. A
-  // search of the whole body, pivot included, looked E up first (no
-  // candidate beats the pivot's one) and paid the scan alone: 330 steps
-  // here, so a --max-steps stop on such joins can come earlier.
+  // each delta row with one probe before E is looked up. That probe is
+  // the row's one charge, so a row whose E lookup is empty costs exactly
+  // one step, and a --max-steps stop on such a join comes no earlier than
+  // on a search that looks E up first and never reaches the pivot.
   Tgd gen;
   gen.body = {ws_.A("P", {ws_.V("x"), ws_.V("y")})};
   gen.head = {ws_.A("T", {ws_.V("x"), ws_.V("y")})};
@@ -230,9 +229,9 @@ TEST_F(SemiNaiveTest, DeltaRowWithoutAPartnerPaysItsPivotProbe) {
   ASSERT_TRUE(serial.Terminated());
   EXPECT_EQ(serial.facts_created, 110u);
   // Round 1: a scan probe and a trigger per P row (T is still empty).
-  // Round 2: two steps per T delta row, plus an E probe and a trigger
-  // for each of the 10 with a partner.
-  EXPECT_EQ(serial.budget_steps, 2 * 100 + 2 * 100 + 2 * 10u);
+  // Round 2: one probe per T delta row, plus an E probe and a trigger for
+  // each of the 10 with a partner.
+  EXPECT_EQ(serial.budget_steps, 2 * 100 + 100 + 2 * 10u);
 
   ChaseLimits lanes;
   lanes.threads = 4;

@@ -113,14 +113,5 @@ TEST(SnapshotCorruptTest, TrailingJunkAfterPayloadRejected) {
   EXPECT_EQ(snap.status().code(), Status::Code::kDataLoss);
 }
 
-TEST(SnapshotCorruptTest, AllKindsRejectCorruptEnvelopeAlike) {
-  // The restricted and PCP parsers share the envelope checks.
-  std::string garbage = ReadAll(CorpusPath("garbage.snap"));
-  EXPECT_EQ(ParseRestrictedSnapshot(garbage).status().code(),
-            Status::Code::kDataLoss);
-  EXPECT_EQ(ParsePcpCheckpoint(garbage).status().code(),
-            Status::Code::kDataLoss);
-}
-
 }  // namespace
 }  // namespace tgdkit
