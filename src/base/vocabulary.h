@@ -18,6 +18,13 @@ using FunctionId = SymbolId;
 using ConstantId = SymbolId;
 using VariableId = SymbolId;
 
+/// True for the reserved words of the text format (docs/FORMAT.md), which
+/// cannot name relations, functions or variables.
+inline bool IsReservedWord(std::string_view word) {
+  return word == "forall" || word == "exists" || word == "so" ||
+         word == "nested" || word == "henkin";
+}
+
 /// Shared symbol spaces for one logical "universe" (schema + dependencies +
 /// instances). All structures referencing symbol ids must use the same
 /// Vocabulary.

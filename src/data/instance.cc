@@ -364,21 +364,26 @@ std::vector<Fact> Instance::AllFacts() const {
 
 namespace {
 
+// Character classes of the fact language: IDENT is
+// [A-Za-z_][A-Za-z0-9_$]*, INT is [0-9]+ (docs/FORMAT.md).
+bool IsIdentStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 /// Plain constants render bare; anything else is quoted so the canonical
-/// text parses back. Plain = identifier ([A-Za-z][A-Za-z0-9_$]*) or
-/// integer; a leading '_' would collide with null syntax.
+/// text parses back. Plain = an IDENT or INT that ParseFacts reads as a
+/// constant; a leading '_' would read as a null.
 bool IsPlainConstantName(const std::string& name) {
   if (name.empty()) return false;
-  unsigned char first = static_cast<unsigned char>(name[0]);
-  if (std::isdigit(first)) {
-    return std::all_of(name.begin(), name.end(), [](unsigned char c) {
-      return std::isdigit(c);
-    });
-  }
-  if (!std::isalpha(first)) return false;
-  return std::all_of(name.begin() + 1, name.end(), [](unsigned char c) {
-    return std::isalnum(c) || c == '_' || c == '$';
-  });
+  if (IsDigit(name[0])) return std::all_of(name.begin(), name.end(), IsDigit);
+  return name[0] != '_' && IsIdentStart(name[0]) &&
+         std::all_of(name.begin() + 1, name.end(), IsIdentChar);
 }
 
 std::string QuoteConstantName(const std::string& name) {
@@ -581,21 +586,26 @@ std::string Instance::ToString() const {
 std::string Instance::ToExactText() const {
   std::string out;
   for (RelationId rel : active_relations_) {
-    const RelationData& data = relations_.at(rel);
-    const std::string& name = vocab_->RelationName(rel);
-    for (uint64_t row = 0, n = data.NumTuples(); row < n; ++row) {
-      const Value* tuple = Row(rel, data, row);
-      out += name;
-      out += '(';
-      for (uint32_t i = 0; i < data.arity; ++i) {
-        if (i > 0) out += ", ";
-        out += tuple[i].is_null() ? NullIndexName(tuple[i].index())
-                                  : ValueToString(tuple[i]);
-      }
-      out += ")\n";
-    }
+    AppendExactText(rel, 0, NumTuples(rel), &out);
   }
   return out;
+}
+
+void Instance::AppendExactText(RelationId relation, uint64_t begin,
+                               uint64_t end, std::string* out) const {
+  const RelationData& data = relations_.at(relation);
+  const std::string& name = vocab_->RelationName(relation);
+  for (uint64_t row = begin; row < end; ++row) {
+    const Value* tuple = Row(relation, data, row);
+    *out += name;
+    *out += '(';
+    for (uint32_t i = 0; i < data.arity; ++i) {
+      if (i > 0) *out += ", ";
+      *out += tuple[i].is_null() ? NullIndexName(tuple[i].index())
+                                 : ValueToString(tuple[i]);
+    }
+    *out += ")\n";
+  }
 }
 
 void CopyFacts(const Instance& src, Instance* dst) {
@@ -917,172 +927,162 @@ const std::string& Instance::spill_dir() const {
   return spill_->config.dir;
 }
 
-namespace {
-
-/// Minimal scanner for the canonical instance text. Kept separate from
-/// parse/lexer.h: the canonical form has no statement dots, supports
-/// string escapes, and must stay available to the snapshot loader without
-/// pulling the full dependency parser into the data layer.
-class CanonicalScanner {
- public:
-  explicit CanonicalScanner(std::string_view text) : text_(text) {}
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      if (text_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  bool TryConsume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Error(const std::string& what) const {
-    return Status::ParseError(
-        Cat("instance text line ", line_, ": ", what));
-  }
-
-  /// Identifier or integer token ([A-Za-z0-9_$]+ starting appropriately).
-  bool ReadWord(std::string* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size()) {
-      unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (std::isalnum(c) || c == '_' || c == '$') {
-        ++pos_;
+Status ParseFacts(std::string_view text, FactDialect dialect,
+                  Vocabulary* vocab, Instance* out, uint32_t declared_nulls) {
+  const bool exact = dialect == FactDialect::kExact;
+  if (exact) out->EnsureNulls(declared_nulls);
+  size_t pos = 0;
+  auto skip_space = [&] {
+    while (pos < text.size()) {
+      char c = text[pos];
+      if (c == '#' || (c == '/' && text.substr(pos, 2) == "//")) {
+        pos = std::min(text.find('\n', pos), text.size());
+      } else if (std::isspace(static_cast<unsigned char>(c))) {
+        ++pos;
       } else {
         break;
       }
     }
-    if (pos_ == start) return false;
-    out->assign(text_.substr(start, pos_ - start));
+  };
+  auto take = [&](char c) {
+    skip_space();
+    if (pos >= text.size() || text[pos] != c) return false;
+    ++pos;
     return true;
-  }
+  };
+  // An IDENT ([A-Za-z_][A-Za-z0-9_$]*) or INT ([0-9]+) at `from`.
+  auto word_at = [&](size_t from) {
+    size_t end = from;
+    if (end < text.size() && IsDigit(text[end])) {
+      while (end < text.size() && IsDigit(text[end])) ++end;
+    } else if (end < text.size() && IsIdentStart(text[end])) {
+      while (end < text.size() && IsIdentChar(text[end])) ++end;
+    }
+    return text.substr(from, end - from);
+  };
+  // "line L, column C: what" at byte `at`. A syntax error also names what
+  // stands there, as the dependency lexer names its tokens, and a byte
+  // that starts no token is reported as such.
+  auto error = [&](size_t at, std::string_view what, bool syntax) {
+    std::string_view before = text.substr(0, at);
+    size_t newline = before.rfind('\n');
+    std::string where = Cat(
+        "line ", 1 + std::count(before.begin(), before.end(), '\n'),
+        ", column ", newline == std::string_view::npos ? at + 1 : at - newline,
+        ": ");
+    if (!syntax) return Status::ParseError(Cat(where, what));
+    std::string found = "end of input";
+    if (at < text.size()) {
+      char c = text[at];
+      std::string_view two = text.substr(at, 2);
+      if (IsIdentStart(c)) {
+        found = Cat("identifier '", word_at(at), "'");
+      } else if (IsDigit(c) || c == '"') {
+        found = IsDigit(c) ? "integer" : "string";
+      } else if (two == "->" || two == ":-") {
+        found = Cat("'", two, "'");
+      } else if (std::string_view("(),.;&=[]{}:").find(c) !=
+                 std::string_view::npos) {
+        found = Cat("'", text.substr(at, 1), "'");
+      } else {
+        return Status::ParseError(
+            Cat(where, "unexpected character '", text.substr(at, 1), "'"));
+      }
+    }
+    return Status::ParseError(Cat(where, what, " (found ", found, ")"));
+  };
 
-  /// Quoted constant with \" \\ \n escapes. Call after peeking '"'.
-  Status ReadQuoted(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        if (e == 'n') {
-          out->push_back('\n');
-        } else {
-          out->push_back(e);  // \" and \\ (and identity for others)
+  std::vector<Value> args;
+  std::unordered_map<std::string_view, Value> labels;
+  std::string unescaped;
+  std::string_view last_name;  // the previous fact's relation
+  RelationId last_relation = kInvalidSymbol;
+  for (skip_space(); pos < text.size(); skip_space()) {
+    const size_t name_at = pos;
+    std::string_view name =
+        IsIdentStart(text[pos]) ? word_at(pos) : std::string_view();
+    if (name.empty()) return error(pos, "expected relation name", true);
+    if (name != last_name && IsReservedWord(name)) {
+      return error(pos, Cat("reserved word '", name, "' used as relation name"),
+                   true);
+    }
+    pos += name.size();
+    if (!take('(')) return error(pos, "expected '('", true);
+    skip_space();
+    if (pos < text.size() && text[pos] == ')') {
+      return error(pos, Cat("fact '", name, "' needs at least one argument"),
+                   true);
+    }
+    args.clear();
+    do {
+      skip_space();
+      const size_t at = pos;
+      char c = at < text.size() ? text[at] : '\0';
+      if (c == '"') {
+        unescaped.clear();
+        for (++pos; pos < text.size() && text[pos] != '"' &&
+                    text[pos] != '\n';
+             ++pos) {
+          if (exact && text[pos] == '\\' && pos + 1 < text.size()) {
+            ++pos;
+            unescaped += text[pos] == 'n' ? '\n' : text[pos];
+          } else if (exact) {
+            unescaped += text[pos];
+          }
         }
+        if (pos >= text.size() || text[pos] != '"') {
+          return error(pos, "unterminated string literal", false);
+        }
+        std::string_view raw = text.substr(at + 1, pos++ - at - 1);
+        args.push_back(Value::Constant(
+            vocab->InternConstant(exact ? std::string_view(unescaped) : raw)));
         continue;
       }
-      if (c == '\n') ++line_;
-      out->push_back(c);
-    }
-    return Error("unterminated quoted constant");
-  }
-
-  bool PeekIs(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-  uint32_t line_ = 1;
-};
-
-/// True iff `label` has the reserved indexed-null spelling N<digits>.
-bool ParseIndexedNull(const std::string& label, uint32_t* index) {
-  if (label.size() < 2 || label[0] != 'N') return false;
-  uint64_t value = 0;
-  for (size_t i = 1; i < label.size(); ++i) {
-    unsigned char c = static_cast<unsigned char>(label[i]);
-    if (!std::isdigit(c)) return false;
-    value = value * 10 + (c - '0');
-    if (value > 0x7fffffffu) return false;
-  }
-  *index = static_cast<uint32_t>(value);
-  return true;
-}
-
-}  // namespace
-
-Status ParseInstanceText(std::string_view text, Vocabulary* vocab,
-                         Instance* out) {
-  CanonicalScanner scan(text);
-  // Labeled nulls resolve to the first existing null with that label.
-  std::unordered_map<std::string, Value> labels;
-  for (uint32_t i = 0; i < out->num_nulls(); ++i) {
-    const std::string& label = out->NullLabel(i);
-    if (!label.empty()) labels.emplace(label, Value::Null(i));
-  }
-
-  while (!scan.AtEnd()) {
-    std::string relation_name;
-    if (!scan.ReadWord(&relation_name) || relation_name.empty() ||
-        std::isdigit(static_cast<unsigned char>(relation_name[0])) ||
-        relation_name[0] == '_') {
-      return scan.Error("expected relation name");
-    }
-    if (!scan.TryConsume('(')) return scan.Error("expected '('");
-    std::vector<Value> args;
-    if (!scan.PeekIs(')')) {
-      for (;;) {
-        if (scan.PeekIs('"')) {
-          std::string name;
-          TGDKIT_RETURN_IF_ERROR(scan.ReadQuoted(&name));
-          args.push_back(Value::Constant(vocab->InternConstant(name)));
-        } else {
-          std::string word;
-          if (!scan.ReadWord(&word)) {
-            return scan.Error("expected constant or null argument");
-          }
-          if (word[0] == '_') {
-            std::string label = word.substr(1);
-            uint32_t index = 0;
-            if (ParseIndexedNull(label, &index)) {
-              out->EnsureNulls(index + 1);
-              args.push_back(Value::Null(index));
-            } else {
-              auto it = labels.find(label);
-              if (it == labels.end()) {
-                it = labels.emplace(label, out->FreshNull(label)).first;
-              }
-              args.push_back(it->second);
-            }
-          } else {
-            args.push_back(Value::Constant(vocab->InternConstant(word)));
-          }
+      std::string_view word = word_at(at);
+      if (word.empty()) return error(at, "expected constant or _null", true);
+      pos += word.size();
+      if (word[0] != '_') {
+        args.push_back(Value::Constant(vocab->InternConstant(word)));
+        continue;
+      }
+      std::string_view label = word.substr(1);
+      if (exact && label.size() > 1 && label[0] == 'N' &&
+          std::all_of(label.begin() + 1, label.end(), IsDigit)) {
+        uint64_t index = 0;
+        for (char d : label.substr(1)) {
+          index = std::min<uint64_t>(index * 10 + (d - '0'), UINT32_MAX);
         }
-        if (scan.TryConsume(',')) continue;
-        break;
+        if (index >= declared_nulls) {
+          return error(at, Cat("null ", word, " is past the declared count ",
+                               declared_nulls), false);
+        }
+        args.push_back(Value::Null(static_cast<uint32_t>(index)));
+        continue;
+      }
+      auto it = labels.find(label);
+      if (it == labels.end()) {
+        it = labels.emplace(label, out->FreshNull(std::string(label))).first;
+      }
+      args.push_back(it->second);
+    } while (take(','));
+    if (!take(')')) return error(pos, "expected ')'", true);
+    if (!exact && !take('.')) return error(pos, "expected '.'", true);
+    const uint32_t arity = static_cast<uint32_t>(args.size());
+    if (name != last_name) {
+      last_name = name;
+      last_relation = vocab->FindRelation(name);
+      if (last_relation == kInvalidSymbol) {
+        last_relation = vocab->InternRelation(name, arity);
       }
     }
-    if (!scan.TryConsume(')')) return scan.Error("expected ')'");
-    if (args.empty()) return scan.Error("0-ary facts are not supported");
-    uint32_t arity = static_cast<uint32_t>(args.size());
-    RelationId existing = vocab->FindRelation(relation_name);
-    if (existing != kInvalidSymbol &&
-        vocab->RelationArity(existing) != arity) {
-      return scan.Error(Cat("relation '", relation_name,
-                            "' used with arity ", arity, " but declared ",
-                            vocab->RelationArity(existing)));
+    if (vocab->RelationArity(last_relation) != arity) {
+      return error(name_at,
+                   Cat("relation '", name, "' used with arity ", arity,
+                       " but declared with arity ",
+                       vocab->RelationArity(last_relation)),
+                   false);
     }
-    out->AddFact(vocab->InternRelation(relation_name, arity), args);
+    out->AddFact(last_relation, args);
   }
   return Status::Ok();
 }

@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -226,16 +227,16 @@ class Instance {
   /// the accelerating structures, not just raw rows.
   uint64_t IndexBytes() const { return index_bytes_; }
 
-  /// Writes all facts, one per line, in the canonical text format
-  /// ParseInstanceText reads back (parse ∘ print is the identity on the
-  /// canonical form). Lines are sorted as their bytes compare. The print
-  /// streams: each distinct value is rendered once, relations go in the
-  /// order of `name + "("`, each relation's rows are sorted through a row
-  /// permutation, and lines leave through `out` a chunk at a time, so
-  /// besides `out`'s chunk it holds the rendered values and one
-  /// relation's permutation. Polls `governor` (may be null) once per
-  /// line. Returns false, with whole lines written, once the governor is
-  /// exhausted or `out` has failed.
+  /// Writes all facts, one per line, in the canonical text format, which
+  /// ParseFacts reads back as exact text given the null count (parse ∘
+  /// print is the identity on the canonical form). Lines are sorted as
+  /// their bytes compare. The print streams: each distinct value is
+  /// rendered once, relations go in the order of `name + "("`, each
+  /// relation's rows are sorted through a row permutation, and lines
+  /// leave through `out` a chunk at a time, so besides `out`'s chunk it
+  /// holds the rendered values and one relation's permutation. Polls
+  /// `governor` (may be null) once per line. Returns false, with whole
+  /// lines written, once the governor is exhausted or `out` has failed.
   bool WriteCanonical(ChunkedWriter* out,
                       ResourceGovernor* governor = nullptr) const;
 
@@ -247,6 +248,11 @@ class Instance {
   /// back reproduces row ids and null indexes exactly. This is the
   /// instance section of the snapshot format.
   std::string ToExactText() const;
+
+  /// Appends rows [begin, end) of `relation` to `out` as ToExactText
+  /// renders them (the snapshot's spill tail is such a range).
+  void AppendExactText(RelationId relation, uint64_t begin, uint64_t end,
+                       std::string* out) const;
 
   /// Renders a single value ("name" for constants, label or _N<i> for
   /// nulls). Constant names that are not plain identifiers or integers are
@@ -336,18 +342,28 @@ class Instance {
 /// Copies all facts of `src` into `dst` (vocabularies must match).
 void CopyFacts(const Instance& src, Instance* dst);
 
-/// Parses the canonical instance text format produced by Instance::ToString
-/// / ToExactText: one fact per line, `Rel(arg, arg, ...)`, where an arg is
-/// a plain identifier or integer constant, a "quoted constant" (with
-/// backslash escapes), a labeled null `_label`, or an indexed null `_N<i>`.
-///
-/// `_N<i>` binds to null index i exactly (allocating up to it if needed);
-/// other labels reuse the first existing null with that label, else
-/// allocate a fresh one. Labels of the form N<digits> are therefore
-/// reserved for indexed nulls. Relations and constants are interned into
-/// `vocab`; a relation seen with two different arities is a parse error.
-/// Facts are added in text order, so row ids follow the text.
-Status ParseInstanceText(std::string_view text, Vocabulary* vocab,
-                         Instance* out);
+/// The two spellings of the fact language (docs/FORMAT.md, "Instances").
+/// Both read `Rel(arg, ...)` with IDENT relation names (a leading `_` is
+/// allowed, reserved words are not), at least one argument, whitespace and
+/// comments anywhere, and `_label` nulls that are fresh per call: the same
+/// label is the same null within one call only.
+enum class FactDialect : uint8_t {
+  /// Instance files: every fact ends in '.', and quoted constants are raw
+  /// (no escapes, as in dependency programs).
+  kFile,
+  /// Exact text (Instance::ToExactText, the snapshot's `facts` and `tail`
+  /// sections): no '.', quoted constants take \", \\ and \n escapes, and
+  /// `_N<i>` is null index i.
+  kExact,
+};
+
+/// Reads facts in `dialect` into `out` in text order, so row ids follow
+/// the text, interning relations and constants into `vocab` (which `out`
+/// must use). In kExact, nulls [0, declared_nulls) are allocated first and
+/// every `_N<i>` must name one of them. A relation used with two arities
+/// is an error. Errors are ParseError and start "line L, column C: ".
+Status ParseFacts(std::string_view text, FactDialect dialect,
+                  Vocabulary* vocab, Instance* out,
+                  uint32_t declared_nulls = 0);
 
 }  // namespace tgdkit

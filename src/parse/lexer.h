@@ -1,4 +1,5 @@
-// Lexer for the tgdkit text format (dependencies, instances, queries).
+// Lexer for the tgdkit text format's dependency programs and queries.
+// Instance files are read without it, by ParseFacts (data/instance.h).
 //
 // Tokens: identifiers ([A-Za-z_][A-Za-z0-9_]*), quoted strings, integers,
 // and punctuation ( ) , . ; & = -> [ ] { } : :- . Comments run from

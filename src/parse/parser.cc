@@ -1,7 +1,5 @@
 #include "parse/parser.h"
 
-#include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "base/strings.h"
@@ -41,12 +39,6 @@ std::vector<SoTgd> DependencyProgram::Sos() const {
 }
 
 namespace {
-
-const std::unordered_set<std::string>& Keywords() {
-  static const std::unordered_set<std::string> kKeywords{
-      "forall", "exists", "so", "nested", "henkin"};
-  return kKeywords;
-}
 
 /// Token cursor with arity bookkeeping and error formatting.
 class Cursor {
@@ -92,7 +84,7 @@ class Cursor {
 
   Result<std::string> ExpectIdent(const char* what) {
     if (!At(TokenKind::kIdent)) return Error(Cat("expected ", what));
-    if (Keywords().count(Peek().text)) {
+    if (IsReservedWord(Peek().text)) {
       return Error(Cat("reserved word '", Peek().text, "' used as ", what));
     }
     return Take().text;
@@ -169,19 +161,20 @@ Result<TermId> ParseTerm(Cursor* c, uint32_t depth = 0) {
   return c->arena()->MakeFunction(*f, args);
 }
 
-/// Parses a relational atom R(t1, ..., tk).
+/// Parses a relational atom R(t1, ..., tk), k >= 1.
 Result<Atom> ParseAtom(Cursor* c) {
   Result<std::string> name = c->ExpectIdent("relation name");
   if (!name.ok()) return name.status();
   TGDKIT_RETURN_IF_ERROR(c->Expect(TokenKind::kLParen));
+  if (c->At(TokenKind::kRParen)) {
+    return c->Error(Cat("atom '", *name, "' needs at least one argument"));
+  }
   Atom atom;
-  if (!c->At(TokenKind::kRParen)) {
-    for (;;) {
-      Result<TermId> arg = ParseTerm(c);
-      if (!arg.ok()) return arg.status();
-      atom.args.push_back(*arg);
-      if (!c->TryTake(TokenKind::kComma)) break;
-    }
+  for (;;) {
+    Result<TermId> arg = ParseTerm(c);
+    if (!arg.ok()) return arg.status();
+    atom.args.push_back(*arg);
+    if (!c->TryTake(TokenKind::kComma)) break;
   }
   TGDKIT_RETURN_IF_ERROR(c->Expect(TokenKind::kRParen));
   Result<RelationId> rel =
@@ -287,6 +280,9 @@ Status ParseSoBodyItem(Cursor* c, SoPart* part) {
     if (!rhs.ok()) return rhs.status();
     part->equalities.push_back({lhs, *rhs});
     return Status::Ok();
+  }
+  if (args.empty()) {
+    return c->Error(Cat("atom '", *name, "' needs at least one argument"));
   }
   Result<RelationId> rel =
       c->Relation(*name, static_cast<uint32_t>(args.size()));
@@ -459,7 +455,7 @@ Result<DependencyProgram> Parser::ParseDependencyProgram(
     dep.line = c.Peek().line;
     dep.column = c.Peek().column;
     // Optional "label :" prefix.
-    if (c.At(TokenKind::kIdent) && !Keywords().count(c.Peek().text) &&
+    if (c.At(TokenKind::kIdent) && !IsReservedWord(c.Peek().text) &&
         c.Peek(1).kind == TokenKind::kColon) {
       dep.label = c.Take().text;
       c.Take();  // ':'
@@ -500,43 +496,7 @@ Result<DependencyProgram> Parser::ParseDependencyProgram(
 }
 
 Status Parser::ParseInstanceInto(std::string_view text, Instance* out) {
-  Result<std::vector<Token>> tokens = Tokenize(text);
-  if (!tokens.ok()) return tokens.status();
-  Cursor c(std::move(*tokens), arena_, vocab_);
-  std::unordered_map<std::string, Value> nulls;
-
-  while (!c.At(TokenKind::kEnd)) {
-    Result<std::string> name = c.ExpectIdent("relation name");
-    if (!name.ok()) return name.status();
-    TGDKIT_RETURN_IF_ERROR(c.Expect(TokenKind::kLParen));
-    std::vector<Value> args;
-    if (!c.At(TokenKind::kRParen)) {
-      for (;;) {
-        if (c.At(TokenKind::kIdent) && c.Peek().text[0] == '_') {
-          std::string label = c.Take().text.substr(1);
-          auto it = nulls.find(label);
-          if (it == nulls.end()) {
-            it = nulls.emplace(label, out->FreshNull(label)).first;
-          }
-          args.push_back(it->second);
-        } else if (c.At(TokenKind::kIdent) || c.At(TokenKind::kString) ||
-                   c.At(TokenKind::kInt)) {
-          args.push_back(
-              Value::Constant(vocab_->InternConstant(c.Take().text)));
-        } else {
-          return c.Error("expected constant or _null");
-        }
-        if (!c.TryTake(TokenKind::kComma)) break;
-      }
-    }
-    TGDKIT_RETURN_IF_ERROR(c.Expect(TokenKind::kRParen));
-    TGDKIT_RETURN_IF_ERROR(c.Expect(TokenKind::kDot));
-    Result<RelationId> rel =
-        c.Relation(*name, static_cast<uint32_t>(args.size()));
-    if (!rel.ok()) return rel.status();
-    out->AddFact(*rel, args);
-  }
-  return Status::Ok();
+  return ParseFacts(text, FactDialect::kFile, vocab_, out);
 }
 
 Result<ConjunctiveQuery> Parser::ParseQuery(std::string_view text) {

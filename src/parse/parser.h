@@ -21,15 +21,19 @@
 //     Emp(e, d) -> Mgr(eid, dm) .
 //
 // Statements end with '.'; an optional "label :" prefix names them.
+// Atoms take at least one argument: R() is a parse error.
 // In dependencies, identifiers in term position are variables; constants
 // are written as "quoted strings" or integers.
 //
 // Instances (ParseInstanceInto):  Emp(alice, cs). Dep(cs).
-// Here identifiers/strings/integers are constants and _name is a labeled
-// null (same name = same null within one call).
+// Instance files are read by ParseFacts (data/instance.h) in its file
+// dialect: identifiers/strings/integers are constants, _name is a labeled
+// null (same name = same null within one call), and a fact needs at least
+// one argument.
 //
 // Queries (ParseQuery):  ans(x, y) :- Emp(x, d), Mgr(x, y) .
-// Free variables are the head arguments; body constants as in deps.
+// Free variables are the head arguments; body constants as in deps. The
+// head is not an atom, so a Boolean query's ans() is legal.
 #pragma once
 
 #include <string>
@@ -85,7 +89,8 @@ class Parser {
   /// aborting at the first offender. Grammar errors still fail the parse.
   Result<DependencyProgram> ParseDependenciesLenient(std::string_view text);
 
-  /// Parses facts into `out` (which must use this parser's vocabulary).
+  /// Parses an instance file into `out` (which must use this parser's
+  /// vocabulary): ParseFacts in FactDialect::kFile.
   Status ParseInstanceInto(std::string_view text, Instance* out);
 
   /// Parses a single Datalog-style conjunctive query.

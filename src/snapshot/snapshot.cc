@@ -323,7 +323,7 @@ bool ReadVocab(Reader* r, Vocabulary* vocab) {
   for (uint64_t i = 0; i < n; ++i) {
     std::string name;
     if (!r->Str(&name)) return false;
-    if (name.empty()) return r->Fail("empty constant name");
+    // "" is a legal constant (an empty quoted string in an instance).
     if (vocab->FindConstant(name) != kInvalidSymbol) {
       return r->Fail("duplicate constant name '" + name + "'");
     }
@@ -433,7 +433,7 @@ bool ReadAtoms(Reader* r, const Vocabulary& vocab, const TermArena& arena,
     if (atom.relation >= vocab.num_relations()) {
       return r->Fail("atom over unknown relation");
     }
-    if (k != vocab.RelationArity(atom.relation)) {
+    if (k == 0 || k != vocab.RelationArity(atom.relation)) {
       return r->Fail("atom arity mismatch");
     }
     for (uint64_t j = 0; j < k; ++j) {
@@ -554,17 +554,7 @@ void WriteSpilledInstance(
       w->EndLine();
     }
     std::string tail;
-    for (uint64_t row = full_segments * segrows; row < keep; ++row) {
-      std::span<const Value> tuple =
-          instance.Tuple(rel, static_cast<uint32_t>(row));
-      tail += instance.vocab().RelationName(rel);
-      tail += "(";
-      tail += JoinMapped(tuple, ", ", [&](Value v) {
-        if (v.is_null()) return Cat("_N", v.index());
-        return instance.ValueToString(v);
-      });
-      tail += ")\n";
-    }
+    instance.AppendExactText(rel, full_segments * segrows, keep, &tail);
     w->Word("tail");
     w->Str(tail);
     w->EndLine();
@@ -664,7 +654,8 @@ bool ReadSpilledFacts(Reader* r, Vocabulary* vocab,
     }
     std::string tail;
     if (!r->Expect("tail") || !r->Str(&tail)) return false;
-    Status parsed = ParseInstanceText(tail, vocab, out);
+    Status parsed = ParseFacts(tail, FactDialect::kExact, vocab, out,
+                               static_cast<uint32_t>(declared_nulls));
     if (!parsed.ok()) return r->Fail("spill tail: " + parsed.ToString());
     if (out->NumTuples(rel) != keep) {
       return r->Fail("spill relation '" + name + "': row count mismatch");
@@ -699,7 +690,8 @@ bool ReadInstance(Reader* r, Vocabulary* vocab, Instance* out,
   } else if (section == "facts") {
     std::string text;
     if (!r->Str(&text)) return false;
-    Status parsed = ParseInstanceText(text, vocab, out);
+    Status parsed = ParseFacts(text, FactDialect::kExact, vocab, out,
+                               static_cast<uint32_t>(nulls));
     if (!parsed.ok()) {
       return r->Fail("instance section: " + parsed.ToString());
     }
@@ -707,10 +699,11 @@ bool ReadInstance(Reader* r, Vocabulary* vocab, Instance* out,
     return r->Fail("expected 'facts' or 'spill', found '" +
                    std::string(section) + "'");
   }
+  // The declared nulls exist already; a `_label` null would come after
+  // them.
   if (out->num_nulls() > nulls) {
     return r->Fail("instance uses more nulls than declared");
   }
-  out->EnsureNulls(static_cast<uint32_t>(nulls));
   for (auto& [index, label] : labels) {
     out->SetNullLabel(index, std::move(label));
   }

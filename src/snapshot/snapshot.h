@@ -19,7 +19,7 @@
 //
 // Derived state is never serialized: the instance's per-position hash
 // indexes are rebuilt fact-by-fact when the instance text is parsed back
-// (ParseInstanceText routes through AddFact), and the thread pool is
+// (ParseFacts routes through AddFact), and the thread pool is
 // reconstructed from the resuming process's own ChaseLimits::threads —
 // a snapshot written with --threads 4 resumes bit-identically under
 // --threads 1 and vice versa (see docs/PARALLELISM.md).

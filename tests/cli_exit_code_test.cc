@@ -140,6 +140,16 @@ TEST(ExitCodeTest, MissingOrUnparseableInputsExitTwo) {
   }
   ExitCodeTempFile garbage("garbage", "this is not a dependency @@@\n");
   EXPECT_EQ(RunTool({"classify", garbage.path()}).code, kExitInput);
+  // 0-ary atoms and facts are parse errors: storage divides by arity.
+  ExitCodeTempFile nullary_head("nullary_head", "P(x) -> R() .\n");
+  ExitCodeTempFile p_fact("p_fact", "P(a) .\n");
+  ExitCodeTempFile nullary_fact("nullary_fact", "R() .\n");
+  ExitCodeTempFile copy("copy", "P(x) -> Q(x) .\n");
+  EXPECT_EQ(RunTool({"classify", nullary_head.path()}).code, kExitInput);
+  EXPECT_EQ(RunTool({"chase", nullary_head.path(), p_fact.path()}).code,
+            kExitInput);
+  EXPECT_EQ(RunTool({"chase", copy.path(), nullary_fact.path()}).code,
+            kExitInput);
   EXPECT_EQ(RunTool({"chase", "--resume", "/nonexistent/x.snap"}).code,
             kExitInput);
   EXPECT_EQ(RunTool({"batch", "/nonexistent/m.manifest"}).code, kExitInput);

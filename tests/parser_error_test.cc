@@ -125,6 +125,18 @@ TEST_F(ParserErrorTest, LabelWithoutDependency) {
   ExpectError("lonely: .", "expected");
 }
 
+TEST_F(ParserErrorTest, NullaryAtomsAreRejected) {
+  ExpectError("P(x) -> R() .", "atom 'R' needs at least one argument");
+  ExpectError("so { P(x) & R() -> Q(x) } .",
+              "atom 'R' needs at least one argument");
+  Parser p(&ws_.arena, &ws_.vocab);
+  auto q = p.ParseQuery("ans() :- R().");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), Status::Code::kParseError);
+  // A Boolean query's head is not an atom.
+  EXPECT_TRUE(p.ParseQuery("ans() :- S(x).").ok());
+}
+
 TEST_F(ParserErrorTest, InstanceErrorsSurfaceLocations) {
   Parser p(&ws_.arena, &ws_.vocab);
   Instance inst(&ws_.vocab);

@@ -311,6 +311,14 @@ TEST_F(ServeTest, MalformedAndOversizedFramesNeverKillTheDaemon) {
   EXPECT_EQ(pong->id, "split");
   EXPECT_EQ(pong->status, ServeStatus::kOk);
 
+  // A well-formed frame whose program has a 0-ary head: a parse error
+  // (exit 2), not a dead daemon.
+  ServeResponse nullary = MustCall(
+      client, InlineRequest("nullary", "classify", {"deps.tgd"},
+                            {{"deps.tgd", "P(x) -> R() .\n"}}));
+  EXPECT_EQ(nullary.status, ServeStatus::kOk);
+  EXPECT_EQ(nullary.exit_code, 2);
+
   // After all that chaos a real request still works.
   ServeResponse ok = MustCall(
       client, InlineRequest("real", "classify", {"deps.tgd"},
@@ -320,7 +328,7 @@ TEST_F(ServeTest, MalformedAndOversizedFramesNeverKillTheDaemon) {
 
   ServeSummary summary = StopServer();
   EXPECT_GE(summary.bad_frames, 4u);
-  EXPECT_EQ(summary.admitted, 1u);
+  EXPECT_EQ(summary.admitted, 2u);
 }
 
 TEST_F(ServeTest, RepeatedInternalFailuresQuarantineTheRuleset) {

@@ -4,9 +4,11 @@
 // engine restored from half a file.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "base/fileio.h"
 #include "snapshot/snapshot.h"
@@ -57,7 +59,9 @@ INSTANTIATE_TEST_SUITE_P(
         RejectionCase{"future_version.snap", Status::Code::kUnsupported},
         RejectionCase{"wrong_magic.snap", Status::Code::kDataLoss},
         RejectionCase{"empty.snap", Status::Code::kDataLoss},
-        RejectionCase{"garbage.snap", Status::Code::kDataLoss}));
+        RejectionCase{"garbage.snap", Status::Code::kDataLoss},
+        RejectionCase{"null_index_past_count.snap",
+                      Status::Code::kDataLoss}));
 
 TEST_P(CorpusRejectionTest, RejectedWithTypedStatus) {
   auto [name, code] = GetParam();
@@ -104,6 +108,31 @@ TEST(SnapshotCorruptTest, SingleByteFlipsRejectedCleanly) {
                 snap.status().code() == Status::Code::kInvalidArgument)
         << "flip at " << pos << ": " << snap.status().ToString();
   }
+}
+
+TEST(SnapshotCorruptTest, NullaryRuleAtomRejected) {
+  // A CRC-valid payload whose rule head gains an atom over a 0-ary
+  // relation: the chase would divide by that arity, so loading refuses it.
+  std::string valid = ReadAll(CorpusPath("valid_chase_v1.snap"));
+  std::string payload =
+      valid.substr(valid.find('\n', valid.find('\n') + 1) + 1);
+  for (auto [from, to] : {std::pair<std::string, std::string>{
+                              "relations 2 2 1:E 2 1:M",
+                              "relations 3 2 1:E 2 1:M 0 1:Z"},
+                          {"head 1 1 2 0 4", "head 2 1 2 0 4 2 0"}}) {
+    ASSERT_NE(payload.find(from), std::string::npos) << from;
+    payload.replace(payload.find(from), from.size(), to);
+  }
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x", Crc32(payload));
+  auto snap = ParseChaseSnapshot("tgdkit-snapshot v1 chase\npayload " +
+                                 std::to_string(payload.size()) + " crc32 " +
+                                 crc + "\n" + payload);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), Status::Code::kDataLoss);
+  EXPECT_NE(snap.status().message().find("atom arity mismatch"),
+            std::string::npos)
+      << snap.status().ToString();
 }
 
 TEST(SnapshotCorruptTest, TrailingJunkAfterPayloadRejected) {

@@ -2,14 +2,21 @@
 // round-trips, envelope rejection, bit-identical checkpoint/resume for
 // the Skolem chase, and the governor's no-recharge contract on resume.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/budget.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "chase/chase.h"
+#include "cli/cli.h"
 #include "data/instance.h"
 #include "dep/dependency.h"
 #include "gen/generators.h"
@@ -242,6 +249,36 @@ TEST(SnapshotTest, GarbageIsDataLoss) {
   EXPECT_EQ(empty.status().code(), Status::Code::kDataLoss);
 }
 
+TEST(SnapshotTest, CheckpointsOfLegalInstanceNamesResume) {
+  // `_R` is an IDENT, so a legal relation name in instance files, and ""
+  // a legal constant; a checkpoint must read both back.
+  std::string dir = Cat(testing::TempDir(), "/tgdkit_underscore_", getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  auto write = [&](const std::string& name, const std::string& text) {
+    std::ofstream(dir + "/" + name) << text;
+    return dir + "/" + name;
+  };
+  std::string deps = write("deps.tgd",
+                           "t: _R(x, y) & _R(y, z) -> _R(x, z) .\n"
+                           "m: _R(x, y) -> exists w . _M(x, w) .\n");
+  std::string facts = write("facts.inst", "_R(a, b) .\n_R(b, \"\") .\n");
+  std::string snap = dir + "/run.snap";
+  std::ostringstream first, first_err, resumed, resumed_err;
+  ASSERT_EQ(RunCli({"chase", deps, facts, "--checkpoint", snap}, first,
+                   first_err),
+            0)
+      << first_err.str();
+  EXPECT_EQ(RunCli({"chase", "--resume", snap}, resumed, resumed_err), 0)
+      << resumed_err.str();
+  EXPECT_EQ(resumed.str(), first.str());
+  EXPECT_NE(first.str().find("_R(a, \"\")"), std::string::npos)
+      << first.str();
+  for (const char* name : {"deps.tgd", "facts.inst", "run.snap"}) {
+    std::remove((dir + "/" + name).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
 TEST(SnapshotTest, InstanceExactTextParsePrintIdentity) {
   // Property: parse ∘ print is the identity on the canonical exact text,
   // across randomly generated instances with nulls (satellite of the
@@ -257,7 +294,8 @@ TEST(SnapshotTest, InstanceExactTextParsePrintIdentity) {
                      /*domain_size=*/8, /*num_nulls=*/5, &instance);
     std::string text = instance.ToExactText();
     Instance reparsed(&vocab);
-    Status st = ParseInstanceText(text, &vocab, &reparsed);
+    Status st = ParseFacts(text, FactDialect::kExact, &vocab, &reparsed,
+                           instance.num_nulls());
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString();
     EXPECT_EQ(reparsed.ToExactText(), text) << "seed " << seed;
     EXPECT_EQ(reparsed.ToString(), instance.ToString()) << "seed " << seed;

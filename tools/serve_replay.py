@@ -13,8 +13,9 @@ CI drives the daemon through this script in three modes:
                 The combined ledger must parse line-for-line (the
                 restarted daemon heals any torn tail) and no request id
                 may be answered twice.
-  chaos         Interleave malformed, truncated, and oversized frames
-                with valid pings. The daemon must answer every ping and
+  chaos         Interleave malformed, truncated, and oversized frames,
+                and well-formed frames carrying malformed programs, with
+                valid pings. The daemon must answer every ping and
                 survive to drain cleanly.
 
 The ledger audit is the point: a "response" record is written before the
@@ -301,6 +302,13 @@ CHAOS_FRAMES = [
     b'{"id":"c4","command":"classify","args":{"nested":true}}\n',
     b'{"id":"big","command":"classify","args":["' + b"A" * (4 << 20) +
     b'"]}\n',                                          # oversized frame
+    # Well-formed frames whose programs are hostile: a 0-ary head and a
+    # 0-ary fact are parse errors (exit 2), not a dead daemon.
+    b'{"id":"c5","command":"classify","args":["d.tgd"],'
+    b'"file_names":["d.tgd"],"file_contents":["P(x) -> R() .\\n"]}\n',
+    b'{"id":"c6","command":"certain","args":["d.tgd","i.facts",'
+    b'"ans(x) :- P(x)."],"file_names":["d.tgd","i.facts"],'
+    b'"file_contents":["P(x) -> Q(x) .\\n","R() .\\n"]}\n',
 ]
 
 
@@ -309,7 +317,9 @@ def mode_chaos(args):
     ping = b'{"id":"p","command":"ping"}\n'
     for i, frame in enumerate(CHAOS_FRAMES):
         try:
-            call(args.socket, frame, read_reply=False)
+            # Wait for the reply, so a frame that kills the daemon does so
+            # before the ping below.
+            call(args.socket, frame)
         except OSError:
             pass  # the daemon may slam the door; it must not die
         # Truncated frame: bytes with no newline, then abrupt close.
@@ -318,7 +328,10 @@ def mode_chaos(args):
                  read_reply=False)
         except OSError:
             pass
-        reply = call(args.socket, ping)
+        try:
+            reply = call(args.socket, ping)
+        except OSError:
+            reply = None
         if not reply or json.loads(reply).get("status") != "ok":
             fail(f"daemon stopped answering pings after chaos frame {i}: "
                  f"{reply!r}")
