@@ -157,7 +157,7 @@ void BM_AnalyzeScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * links);
 }
-BENCHMARK(BM_AnalyzeScaling)->Arg(8)->Arg(32)->Arg(128)
+BENCHMARK(BM_AnalyzeScaling)->Arg(8)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

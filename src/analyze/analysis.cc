@@ -1,6 +1,7 @@
 #include "analyze/analysis.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/strings.h"
 #include "dep/skolem.h"
@@ -26,22 +27,9 @@ std::set<VariableId> BodyVariables(const TermArena& arena,
   return vars;
 }
 
-/// Top-level body occurrences (atom index, arg index) per variable.
-std::map<VariableId, std::vector<std::pair<uint32_t, uint32_t>>>
-BodyOccurrences(const TermArena& arena, const SoPart& part) {
-  std::map<VariableId, std::vector<std::pair<uint32_t, uint32_t>>> out;
-  for (uint32_t a = 0; a < part.body.size(); ++a) {
-    const Atom& atom = part.body[a];
-    for (uint32_t i = 0; i < atom.args.size(); ++i) {
-      if (arena.IsVariable(atom.args[i])) {
-        out[arena.symbol(atom.args[i])].emplace_back(a, i);
-      }
-    }
-  }
-  return out;
-}
-
-/// Distinct body positions per variable (top level).
+/// Distinct body positions per variable (top level). The replays and the
+/// renderers rebuild it from the rule on purpose; the builders read the
+/// RuleTable that AnalyzeRules builds once.
 std::map<VariableId, std::set<Position>> BodyPositions(
     const TermArena& arena, const SoPart& part) {
   std::map<VariableId, std::set<Position>> out;
@@ -62,10 +50,70 @@ bool OccursTopLevel(const TermArena& arena, VariableId var, const Atom& atom) {
   return false;
 }
 
+// --- per-rule tables --------------------------------------------------------
+
+/// A head argument that holds a body variable: at top level, or inside a
+/// functional term (`special`: the position receives a null built from
+/// the variable).
+struct HeadSlot {
+  uint32_t atom = 0;
+  uint32_t arg = 0;
+  bool special = false;
+};
+
+/// What the builders read about one top-level body variable of a rule.
+struct BodyVar {
+  std::set<Position> positions;
+  /// Top-level body occurrences (atom index, arg index), in body order.
+  std::vector<std::pair<uint32_t, uint32_t>> occurrences;
+  std::vector<HeadSlot> head;  // in (atom, arg) order
+};
+
+/// A rule's top-level body variables, built once per analysis.
+using RuleTable = std::map<VariableId, BodyVar>;
+
+RuleTable BuildRuleTable(const TermArena& arena, const SoPart& part) {
+  RuleTable vars;
+  for (uint32_t a = 0; a < part.body.size(); ++a) {
+    const Atom& atom = part.body[a];
+    for (uint32_t i = 0; i < atom.args.size(); ++i) {
+      if (!arena.IsVariable(atom.args[i])) continue;
+      BodyVar& v = vars[arena.symbol(atom.args[i])];
+      v.positions.insert({atom.relation, i});
+      v.occurrences.emplace_back(a, i);
+    }
+  }
+  for (uint32_t a = 0; a < part.head.size(); ++a) {
+    const Atom& atom = part.head[a];
+    for (uint32_t i = 0; i < atom.args.size(); ++i) {
+      TermId t = atom.args[i];
+      std::set<VariableId> held;
+      if (arena.IsVariable(t)) {
+        held.insert(arena.symbol(t));
+      } else if (arena.IsFunction(t)) {
+        TermVariables(arena, t, &held);
+      }
+      for (VariableId var : held) {
+        auto it = vars.find(var);
+        if (it == vars.end()) continue;
+        it->second.head.push_back({a, i, arena.IsFunction(t)});
+      }
+    }
+  }
+  return vars;
+}
+
+bool AllAffected(const AffectedAnalysis& affected, const BodyVar& v) {
+  return std::all_of(v.positions.begin(), v.positions.end(),
+                     [&affected](const Position& p) {
+                       return affected.affected.count(p) != 0;
+                     });
+}
+
 // --- artifact builders ------------------------------------------------------
 
-PositionGraph BuildPositionGraph(const TermArena& arena,
-                                 const std::vector<AnalyzedRule>& rules) {
+PositionGraph BuildPositionGraph(const std::vector<AnalyzedRule>& rules,
+                                 const std::vector<RuleTable>& tables) {
   PositionGraph graph;
   auto node = [&graph](const Position& p) {
     auto [it, inserted] = graph.node_index.emplace(
@@ -89,25 +137,13 @@ PositionGraph BuildPositionGraph(const TermArena& arena,
   }
   for (uint32_t r = 0; r < rules.size(); ++r) {
     const SoPart& part = rules[r].part;
-    for (const auto& [var, positions] : BodyPositions(arena, part)) {
-      for (const Position& from : positions) {
+    for (const auto& [var, v] : tables[r]) {
+      for (const Position& from : v.positions) {
         uint32_t from_node = node(from);
-        for (uint32_t a = 0; a < part.head.size(); ++a) {
-          const Atom& atom = part.head[a];
-          for (uint32_t i = 0; i < atom.args.size(); ++i) {
-            TermId t = atom.args[i];
-            if (arena.IsVariable(t) && arena.symbol(t) == var) {
-              graph.edges.push_back({from_node, node({atom.relation, i}),
-                                     /*special=*/false, r, var, a, i});
-            } else if (arena.IsFunction(t)) {
-              std::set<VariableId> term_vars;
-              TermVariables(arena, t, &term_vars);
-              if (term_vars.count(var)) {
-                graph.edges.push_back({from_node, node({atom.relation, i}),
-                                       /*special=*/true, r, var, a, i});
-              }
-            }
-          }
+        for (const HeadSlot& slot : v.head) {
+          graph.edges.push_back(
+              {from_node, node({part.head[slot.atom].relation, slot.arg}),
+               slot.special, r, var, slot.atom, slot.arg});
         }
       }
     }
@@ -120,7 +156,8 @@ PositionGraph BuildPositionGraph(const TermArena& arena,
 }
 
 AffectedAnalysis BuildAffected(const TermArena& arena,
-                               const std::vector<AnalyzedRule>& rules) {
+                               const std::vector<AnalyzedRule>& rules,
+                               const std::vector<RuleTable>& tables) {
   AffectedAnalysis out;
   // (1) Head positions carrying functional terms.
   for (uint32_t r = 0; r < rules.size(); ++r) {
@@ -143,22 +180,15 @@ AffectedAnalysis BuildAffected(const TermArena& arena,
     changed = false;
     for (uint32_t r = 0; r < rules.size(); ++r) {
       const SoPart& part = rules[r].part;
-      for (const auto& [var, positions] : BodyPositions(arena, part)) {
-        bool all_affected = std::all_of(
-            positions.begin(), positions.end(),
-            [&out](const Position& p) { return out.affected.count(p) != 0; });
-        if (!all_affected) continue;
-        for (uint32_t a = 0; a < part.head.size(); ++a) {
-          const Atom& atom = part.head[a];
-          for (uint32_t i = 0; i < atom.args.size(); ++i) {
-            TermId t = atom.args[i];
-            if (!arena.IsVariable(t) || arena.symbol(t) != var) continue;
-            Position p{atom.relation, i};
-            if (out.affected.insert(p).second) {
-              out.reasons[p] = {AffectedReason::Kind::kPropagated, r, a, i,
-                                var};
-              changed = true;
-            }
+      for (const auto& [var, v] : tables[r]) {
+        if (!AllAffected(out, v)) continue;
+        for (const HeadSlot& slot : v.head) {
+          if (slot.special) continue;
+          Position p{part.head[slot.atom].relation, slot.arg};
+          if (out.affected.insert(p).second) {
+            out.reasons[p] = {AffectedReason::Kind::kPropagated, r,
+                              slot.atom, slot.arg, var};
+            changed = true;
           }
         }
       }
@@ -172,21 +202,41 @@ AffectedAnalysis BuildAffected(const TermArena& arena,
 /// it, or (propagation) it flows into a head position that holds a marked
 /// body occurrence somewhere in the rule set.
 StickyMarking BuildMarking(const TermArena& arena,
-                           const std::vector<AnalyzedRule>& rules) {
+                           const std::vector<AnalyzedRule>& rules,
+                           const std::vector<RuleTable>& tables) {
   StickyMarking marking;
   marking.marked_vars.resize(rules.size());
+  // Position -> the (rule, variable) pairs with a top-level head
+  // occurrence there: the pairs a newly marked position makes eligible.
+  std::map<Position, std::vector<std::pair<uint32_t, VariableId>>> readers;
+  for (uint32_t r = 0; r < rules.size(); ++r) {
+    for (const auto& [var, v] : tables[r]) {
+      for (const HeadSlot& slot : v.head) {
+        if (slot.special) continue;
+        readers[{rules[r].part.head[slot.atom].relation, slot.arg}]
+            .emplace_back(r, var);
+      }
+    }
+  }
+  // Eligible pairs are marked smallest (rule, variable) first, each citing
+  // its first marked head slot, so every pair records the derivation a
+  // rescan of the whole rule set after each mark finds. WitnessToString
+  // prints these derivations through ExplainMarked.
+  std::set<std::pair<uint32_t, VariableId>> eligible;
   auto mark = [&](uint32_t r, VariableId var, const MarkReason& reason) {
-    auto [it, inserted] = marking.marked_vars[r].emplace(var, reason);
-    if (!inserted) return false;
-    auto positions = BodyPositions(arena, rules[r].part);
-    marking.marked_positions.insert(positions[var].begin(),
-                                    positions[var].end());
-    return true;
+    marking.marked_vars[r].emplace(var, reason);
+    for (const Position& p : tables[r].at(var).positions) {
+      if (!marking.marked_positions.insert(p).second) continue;
+      auto it = readers.find(p);
+      if (it != readers.end()) {
+        eligible.insert(it->second.begin(), it->second.end());
+      }
+    }
   };
   // Initial step: mark variables missing from some head atom.
   for (uint32_t r = 0; r < rules.size(); ++r) {
     const SoPart& part = rules[r].part;
-    for (const auto& [var, positions] : BodyPositions(arena, part)) {
+    for (const auto& [var, v] : tables[r]) {
       for (uint32_t a = 0; a < part.head.size(); ++a) {
         if (!OccursTopLevel(arena, var, part.head[a])) {
           mark(r, var, {MarkReason::Kind::kDropped, a, 0, {0, 0}});
@@ -196,27 +246,16 @@ StickyMarking BuildMarking(const TermArena& arena,
     }
   }
   // Propagation: follow head occurrences into marked positions.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t r = 0; r < rules.size(); ++r) {
-      const SoPart& part = rules[r].part;
-      for (const auto& [var, positions] : BodyPositions(arena, part)) {
-        if (marking.IsMarked(r, var)) continue;
-        for (uint32_t a = 0; a < part.head.size() && !changed; ++a) {
-          const Atom& atom = part.head[a];
-          for (uint32_t i = 0; i < atom.args.size(); ++i) {
-            TermId t = atom.args[i];
-            if (!arena.IsVariable(t) || arena.symbol(t) != var) continue;
-            Position p{atom.relation, i};
-            if (!marking.marked_positions.count(p)) continue;
-            if (mark(r, var, {MarkReason::Kind::kPropagated, a, i, p})) {
-              changed = true;
-              break;
-            }
-          }
-        }
-      }
+  while (!eligible.empty()) {
+    auto [r, var] = *eligible.begin();
+    eligible.erase(eligible.begin());
+    if (marking.IsMarked(r, var)) continue;
+    for (const HeadSlot& slot : tables[r].at(var).head) {
+      if (slot.special) continue;
+      Position p{rules[r].part.head[slot.atom].relation, slot.arg};
+      if (!marking.marked_positions.count(p)) continue;
+      mark(r, var, {MarkReason::Kind::kPropagated, slot.atom, slot.arg, p});
+      break;
     }
   }
   return marking;
@@ -305,21 +344,17 @@ CriterionVerdict JudgeGuarded(const TermArena& arena,
 
 CriterionVerdict JudgeWeaklyGuarded(const TermArena& arena,
                                     const std::vector<AnalyzedRule>& rules,
+                                    const std::vector<RuleTable>& tables,
                                     const AffectedAnalysis& affected) {
   CriterionVerdict v{Criterion::kWeaklyGuarded, true, {}};
   for (uint32_t r = 0; r < rules.size(); ++r) {
-    const SoPart& part = rules[r].part;
     std::set<VariableId> must_guard;
-    for (const auto& [var, positions] : BodyPositions(arena, part)) {
-      bool all_affected = std::all_of(
-          positions.begin(), positions.end(), [&affected](const Position& p) {
-            return affected.affected.count(p) != 0;
-          });
-      if (all_affected) must_guard.insert(var);
+    for (const auto& [var, body_var] : tables[r]) {
+      if (AllAffected(affected, body_var)) must_guard.insert(var);
     }
     if (must_guard.empty()) continue;
     std::vector<VariableId> missing;
-    if (FindGuard(arena, part, must_guard, &missing)) continue;
+    if (FindGuard(arena, rules[r].part, must_guard, &missing)) continue;
     v.holds = false;
     v.witness = GuardWitness{
         r, {must_guard.begin(), must_guard.end()}, std::move(missing)};
@@ -330,49 +365,53 @@ CriterionVerdict JudgeWeaklyGuarded(const TermArena& arena,
 
 // --- position graph walks ---------------------------------------------------
 
-/// BFS edge path from node `from` to node `to` (empty when from == to).
-/// False when unreachable.
-bool EdgePath(const PositionGraph& graph, uint32_t from, uint32_t to,
-              std::vector<uint32_t>* path) {
-  path->clear();
-  if (from == to) return true;
+/// Breadth-first search from node `from`: the edge that first reached
+/// each node, -1 for `from` and for unreached nodes. Stops once `stop_at`
+/// is reached, with the edges a full search would have recorded so far.
+std::vector<int64_t> BfsTree(const PositionGraph& graph, uint32_t from,
+                             uint32_t stop_at = UINT32_MAX) {
   std::vector<int64_t> parent_edge(graph.nodes.size(), -1);
   std::vector<bool> seen(graph.nodes.size(), false);
   std::vector<uint32_t> queue{from};
   seen[from] = true;
-  bool found = false;
-  for (size_t q = 0; q < queue.size() && !found; ++q) {
+  for (size_t q = 0; q < queue.size(); ++q) {
     for (uint32_t e : graph.out_edges[queue[q]]) {
       uint32_t next = graph.edges[e].to;
       if (seen[next]) continue;
       seen[next] = true;
       parent_edge[next] = e;
-      if (next == to) {
-        found = true;
-        break;
-      }
+      if (next == stop_at) return parent_edge;
       queue.push_back(next);
     }
   }
-  if (!found) return false;
-  for (uint32_t at = to; at != from;) {
-    uint32_t e = static_cast<uint32_t>(parent_edge[at]);
-    path->push_back(e);
-    at = graph.edges[e].from;
-  }
-  std::reverse(path->begin(), path->end());
-  return true;
+  return parent_edge;
 }
 
-/// Closed walk through edge `se` (edge `se` followed by a path back from
-/// its head to its tail), or empty when `se` lies on no cycle.
+/// The search tree's edge path from its root `from` to the reached `to`.
+std::vector<uint32_t> TreePath(const PositionGraph& graph,
+                               const std::vector<int64_t>& parent_edge,
+                               uint32_t from, uint32_t to) {
+  std::vector<uint32_t> path;
+  for (uint32_t at = to; at != from;) {
+    uint32_t e = static_cast<uint32_t>(parent_edge[at]);
+    path.push_back(e);
+    at = graph.edges[e].from;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// Closed walk through edge `se`: `se`, then the BFS path back from its
+/// head to its tail. Empty when `se` lies on no cycle.
 std::vector<uint32_t> CloseWalkThrough(const PositionGraph& graph,
                                        uint32_t se) {
-  std::vector<uint32_t> back;
-  if (!EdgePath(graph, graph.edges[se].to, graph.edges[se].from, &back)) {
-    return {};
-  }
+  uint32_t head = graph.edges[se].to;
+  uint32_t tail = graph.edges[se].from;
   std::vector<uint32_t> walk{se};
+  if (head == tail) return walk;
+  std::vector<int64_t> parent_edge = BfsTree(graph, head, tail);
+  if (parent_edge[tail] < 0) return {};
+  std::vector<uint32_t> back = TreePath(graph, parent_edge, head, tail);
   walk.insert(walk.end(), back.begin(), back.end());
   return walk;
 }
@@ -433,28 +472,53 @@ std::vector<uint32_t> ComputeSccs(const PositionGraph& graph) {
   return scc;
 }
 
-CriterionVerdict JudgeWeaklyAcyclic(const PositionGraph& graph) {
-  CriterionVerdict v{Criterion::kWeaklyAcyclic, true, {}};
-  for (uint32_t se = 0; se < graph.edges.size(); ++se) {
-    if (!graph.edges[se].special) continue;
-    std::vector<uint32_t> walk = CloseWalkThrough(graph, se);
-    if (walk.empty()) continue;
-    v.holds = false;
-    v.witness = CycleWitness{std::move(walk)};
-    return v;
+/// The strongly connected components of the position graph, and the
+/// generating ones among them: a component is generating when a special
+/// edge lies inside it, i.e. on a cycle.
+struct Components {
+  std::vector<uint32_t> scc;  // component id per node (see ComputeSccs)
+  uint32_t count = 0;
+  /// Generating component -> its smallest in-component special edge.
+  std::map<uint32_t, uint32_t> generating;
+};
+
+Components FindComponents(const PositionGraph& graph) {
+  Components out;
+  out.scc = ComputeSccs(graph);
+  for (uint32_t id : out.scc) out.count = std::max(out.count, id + 1);
+  for (uint32_t e = 0; e < graph.edges.size(); ++e) {
+    const PositionEdge& edge = graph.edges[e];
+    if (edge.special && out.scc[edge.from] == out.scc[edge.to]) {
+      out.generating.emplace(out.scc[edge.from], e);
+    }
   }
+  return out;
+}
+
+CriterionVerdict JudgeWeaklyAcyclic(const PositionGraph& graph,
+                                    const Components& components) {
+  CriterionVerdict v{Criterion::kWeaklyAcyclic, true, {}};
+  if (components.generating.empty()) return v;
+  // A special edge closes a walk iff it lies inside a component, so the
+  // smallest in-component special edge is the first special edge with a
+  // closed walk, and the witness walks through it.
+  uint32_t smallest = UINT32_MAX;
+  for (const auto& [component, edge] : components.generating) {
+    smallest = std::min(smallest, edge);
+  }
+  v.holds = false;
+  v.witness = CycleWitness{CloseWalkThrough(graph, smallest)};
   return v;
 }
 
-CriterionVerdict JudgeSticky(const TermArena& arena,
-                             const std::vector<AnalyzedRule>& rules,
+CriterionVerdict JudgeSticky(const std::vector<RuleTable>& tables,
                              const StickyMarking& marking, bool join_only) {
   CriterionVerdict v{join_only ? Criterion::kStickyJoin : Criterion::kSticky,
                      true,
                      {}};
-  for (uint32_t r = 0; r < rules.size(); ++r) {
-    for (const auto& [var, occurrences] :
-         BodyOccurrences(arena, rules[r].part)) {
+  for (uint32_t r = 0; r < tables.size(); ++r) {
+    for (const auto& [var, body_var] : tables[r]) {
+      const auto& occurrences = body_var.occurrences;
       if (occurrences.size() < 2 || !marking.IsMarked(r, var)) continue;
       if (join_only) {
         // Sticky-join tolerates repeats inside a single atom (a selection,
@@ -497,53 +561,37 @@ CriterionVerdict JudgeSticky(const TermArena& arena,
 /// cross-atom marked join anywhere) each imply it.
 CriterionVerdict JudgeTriangularlyGuarded(
     const TermArena& arena, const std::vector<AnalyzedRule>& rules,
-    const PositionGraph& graph, const AffectedAnalysis& affected,
+    const std::vector<RuleTable>& tables, const PositionGraph& graph,
+    const Components& components, const AffectedAnalysis& affected,
     const StickyMarking& marking) {
   CriterionVerdict v{Criterion::kTriangularlyGuarded, true, {}};
-  std::vector<uint32_t> scc = ComputeSccs(graph);
-  // Triangular components, each with one witnessing in-component special
-  // edge (the first, for determinism).
-  std::map<uint32_t, uint32_t> components;
-  for (uint32_t e = 0; e < graph.edges.size(); ++e) {
-    const PositionEdge& edge = graph.edges[e];
-    if (edge.special && scc[edge.from] == scc[edge.to]) {
-      components.emplace(scc[edge.from], e);
+  const std::vector<uint32_t>& scc = components.scc;
+  // Per component, the rules with an edge inside it.
+  std::vector<std::set<uint32_t>> touching(components.count);
+  for (const PositionEdge& edge : graph.edges) {
+    if (scc[edge.from] == scc[edge.to]) {
+      touching[scc[edge.from]].insert(edge.rule);
     }
   }
-  for (const auto& [component, special_edge] : components) {
-    std::set<uint32_t> nodes;
-    for (uint32_t node = 0; node < graph.nodes.size(); ++node) {
-      if (scc[node] == component) nodes.insert(node);
-    }
+  for (const auto& [component, special_edge] : components.generating) {
     auto in_component = [&](const Position& p) {
       auto it = graph.node_index.find(p);
-      return it != graph.node_index.end() && nodes.count(it->second) != 0;
+      return it != graph.node_index.end() && scc[it->second] == component;
     };
-    std::set<uint32_t> touching;  // rules with an edge inside the component
-    for (const PositionEdge& edge : graph.edges) {
-      if (scc[edge.from] == component && scc[edge.to] == component) {
-        touching.insert(edge.rule);
-      }
-    }
     // Discipline (b): guard the component-dangerous variables.
     std::optional<GuardWitness> guard_fail;
-    for (uint32_t r : touching) {
-      const SoPart& part = rules[r].part;
+    for (uint32_t r : touching[component]) {
       std::set<VariableId> must_guard;
-      for (const auto& [var, positions] : BodyPositions(arena, part)) {
-        bool all_affected = std::all_of(
-            positions.begin(), positions.end(),
-            [&affected](const Position& p) {
-              return affected.affected.count(p) != 0;
-            });
-        if (!all_affected) continue;
-        bool touches = std::any_of(positions.begin(), positions.end(),
-                                   in_component);
-        if (touches) must_guard.insert(var);
+      for (const auto& [var, body_var] : tables[r]) {
+        if (AllAffected(affected, body_var) &&
+            std::any_of(body_var.positions.begin(), body_var.positions.end(),
+                        in_component)) {
+          must_guard.insert(var);
+        }
       }
       if (must_guard.empty()) continue;
       std::vector<VariableId> missing;
-      if (FindGuard(arena, part, must_guard, &missing)) continue;
+      if (FindGuard(arena, rules[r].part, must_guard, &missing)) continue;
       guard_fail = GuardWitness{
           r, {must_guard.begin(), must_guard.end()}, std::move(missing)};
       break;
@@ -551,9 +599,10 @@ CriterionVerdict JudgeTriangularlyGuarded(
     if (!guard_fail.has_value()) continue;
     // Discipline (c): no marked cross-atom join on component positions.
     std::optional<StickyWitness> join_fail;
-    for (uint32_t r : touching) {
+    for (uint32_t r : touching[component]) {
       const SoPart& part = rules[r].part;
-      for (const auto& [var, occurrences] : BodyOccurrences(arena, part)) {
+      for (const auto& [var, body_var] : tables[r]) {
+        const auto& occurrences = body_var.occurrences;
         if (occurrences.size() < 2 || !marking.IsMarked(r, var)) continue;
         for (size_t i = 0; i < occurrences.size() && !join_fail; ++i) {
           const auto& [a1, g1] = occurrences[i];
@@ -573,7 +622,9 @@ CriterionVerdict JudgeTriangularlyGuarded(
     if (!join_fail.has_value()) continue;
     // Both disciplines fail: the component is an unguarded triangle.
     TriangleWitness witness;
-    witness.component.assign(nodes.begin(), nodes.end());
+    for (uint32_t node = 0; node < graph.nodes.size(); ++node) {
+      if (scc[node] == component) witness.component.push_back(node);
+    }
     witness.cycle = CloseWalkThrough(graph, special_edge);
     witness.guard = std::move(*guard_fail);
     witness.join = std::move(*join_fail);
@@ -590,30 +641,27 @@ CriterionVerdict JudgeTriangularlyGuarded(
 /// none reaching another: one self-feeding generation stage —
 /// exponential. A generating SCC feeding a second one: stacked generation
 /// stages — non-elementary.
-ComplexityBound BuildComplexity(const PositionGraph& graph) {
+ComplexityBound BuildComplexity(const PositionGraph& graph,
+                                const Components& components) {
   ComplexityBound out;
-  std::vector<uint32_t> scc = ComputeSccs(graph);
-  std::map<uint32_t, uint32_t> generating;  // scc -> in-component special
-  for (uint32_t e = 0; e < graph.edges.size(); ++e) {
-    const PositionEdge& edge = graph.edges[e];
-    if (edge.special && scc[edge.from] == scc[edge.to]) {
-      generating.emplace(scc[edge.from], e);
-    }
-  }
-  if (generating.empty()) {
+  const std::vector<uint32_t>& scc = components.scc;
+  if (components.generating.empty()) {
     out.tier = ComplexityTier::kPolynomial;
     // Rank per SCC: max special edges on any path leaving it. Tarjan ids
     // are reverse-topological, so every successor SCC is already final
-    // when its predecessors are folded in. Track the realizing edge.
-    uint32_t scc_count = 0;
-    for (uint32_t id : scc) scc_count = std::max(scc_count, id + 1);
-    if (scc_count == 0) return out;
-    std::vector<uint32_t> rank(scc_count, 0);
-    std::vector<int64_t> via_edge(scc_count, -1);
-    for (uint32_t c = 0; c < scc_count; ++c) {
-      for (uint32_t e = 0; e < graph.edges.size(); ++e) {
+    // when its predecessors are folded in. Track the realizing edge; ties
+    // go to the first edge in ascending (source SCC, edge) order.
+    if (components.count == 0) return out;
+    std::vector<std::vector<uint32_t>> leaving(components.count);
+    for (uint32_t e = 0; e < graph.edges.size(); ++e) {
+      const PositionEdge& edge = graph.edges[e];
+      if (scc[edge.from] != scc[edge.to]) leaving[scc[edge.from]].push_back(e);
+    }
+    std::vector<uint32_t> rank(components.count, 0);
+    std::vector<int64_t> via_edge(components.count, -1);
+    for (uint32_t c = 0; c < components.count; ++c) {
+      for (uint32_t e : leaving[c]) {
         const PositionEdge& edge = graph.edges[e];
-        if (scc[edge.from] != c || scc[edge.to] == c) continue;
         uint32_t reach = rank[scc[edge.to]] + (edge.special ? 1 : 0);
         if (reach > rank[c]) {
           rank[c] = reach;
@@ -622,7 +670,7 @@ ComplexityBound BuildComplexity(const PositionGraph& graph) {
       }
     }
     uint32_t best = 0;
-    for (uint32_t c = 0; c < scc_count; ++c) {
+    for (uint32_t c = 0; c < components.count; ++c) {
       if (rank[c] > rank[best]) best = c;
     }
     out.rank = rank[best];
@@ -633,25 +681,24 @@ ComplexityBound BuildComplexity(const PositionGraph& graph) {
     }
     return out;
   }
-  // Does any generating SCC feed a different one? (Tarjan ids are
-  // reverse-topological, so reachability is only possible toward lower
-  // ids; the path check settles it either way.)
-  for (const auto& [c1, e1] : generating) {
-    for (const auto& [c2, e2] : generating) {
-      if (c1 == c2) continue;
-      std::vector<uint32_t> link;
-      if (!EdgePath(graph, graph.edges[e1].to, graph.edges[e2].from, &link)) {
-        continue;
-      }
+  // Does any generating SCC feed a different one? One search from each,
+  // in ascending id order; the first (c1, c2) pair found, c2 ascending,
+  // is the witness, and its link is the search tree's path.
+  for (const auto& [c1, e1] : components.generating) {
+    uint32_t root = graph.edges[e1].to;
+    std::vector<int64_t> parent_edge = BfsTree(graph, root);
+    for (const auto& [c2, e2] : components.generating) {
+      uint32_t target = graph.edges[e2].from;
+      if (c2 == c1 || parent_edge[target] < 0) continue;
       out.tier = ComplexityTier::kNonElementary;
       out.cycle = CloseWalkThrough(graph, e1);
-      out.link = std::move(link);
+      out.link = TreePath(graph, parent_edge, root, target);
       out.cycle2 = CloseWalkThrough(graph, e2);
       return out;
     }
   }
   out.tier = ComplexityTier::kExponential;
-  out.cycle = CloseWalkThrough(graph, generating.begin()->second);
+  out.cycle = CloseWalkThrough(graph, components.generating.begin()->second);
   return out;
 }
 
@@ -697,76 +744,96 @@ ProgramAnalysis AnalyzeRules(const TermArena& arena,
   ProgramAnalysis analysis;
   analysis.arena = &arena;
   analysis.rules = std::move(rules);
-  analysis.graph = BuildPositionGraph(arena, analysis.rules);
-  analysis.affected = BuildAffected(arena, analysis.rules);
-  analysis.marking = BuildMarking(arena, analysis.rules);
+  std::vector<RuleTable> tables;
+  tables.reserve(analysis.rules.size());
+  for (const AnalyzedRule& rule : analysis.rules) {
+    tables.push_back(BuildRuleTable(arena, rule.part));
+  }
+  analysis.graph = BuildPositionGraph(analysis.rules, tables);
+  analysis.affected = BuildAffected(arena, analysis.rules, tables);
+  analysis.marking = BuildMarking(arena, analysis.rules, tables);
+  Components components = FindComponents(analysis.graph);
   analysis.verdicts.push_back(JudgeFull(arena, analysis.rules));
-  analysis.verdicts.push_back(JudgeWeaklyAcyclic(analysis.graph));
+  analysis.verdicts.push_back(JudgeWeaklyAcyclic(analysis.graph, components));
   analysis.verdicts.push_back(JudgeLinear(analysis.rules));
   analysis.verdicts.push_back(JudgeGuarded(arena, analysis.rules));
   analysis.verdicts.push_back(
-      JudgeWeaklyGuarded(arena, analysis.rules, analysis.affected));
-  analysis.verdicts.push_back(
-      JudgeSticky(arena, analysis.rules, analysis.marking, false));
-  analysis.verdicts.push_back(
-      JudgeSticky(arena, analysis.rules, analysis.marking, true));
+      JudgeWeaklyGuarded(arena, analysis.rules, tables, analysis.affected));
+  analysis.verdicts.push_back(JudgeSticky(tables, analysis.marking, false));
+  analysis.verdicts.push_back(JudgeSticky(tables, analysis.marking, true));
   analysis.verdicts.push_back(JudgeTriangularlyGuarded(
-      arena, analysis.rules, analysis.graph, analysis.affected,
-      analysis.marking));
-  analysis.complexity = BuildComplexity(analysis.graph);
+      arena, analysis.rules, tables, analysis.graph, components,
+      analysis.affected, analysis.marking));
+  analysis.complexity = BuildComplexity(analysis.graph, components);
   return analysis;
 }
 
 ProgramAnalysis AnalyzeSo(const TermArena& arena, const SoTgd& so) {
+  // One synthetic statement: unlabeled ("#1") and without a span.
+  return AnalyzeRules(arena, StatementRules(ParsedDependency{}, 0, so));
+}
+
+std::string StatementLabel(const ParsedDependency& dep, size_t index) {
+  return dep.label.empty() ? Cat("#", index + 1) : dep.label;
+}
+
+SoTgd SkolemizeStatement(TermArena* arena, Vocabulary* vocab,
+                         const ParsedDependency& dep) {
+  switch (dep.kind) {
+    case ParsedDependency::Kind::kTgd:
+      return TgdToSo(arena, vocab, dep.tgd);
+    case ParsedDependency::Kind::kSo:
+      return dep.so;
+    case ParsedDependency::Kind::kNested:
+      return NestedToSo(arena, vocab, dep.nested);
+    case ParsedDependency::Kind::kHenkin:
+      return HenkinToSo(arena, vocab, dep.henkin);
+  }
+  return {};
+}
+
+SoTgd SkolemizeProgram(TermArena* arena, Vocabulary* vocab,
+                       const DependencyProgram& program) {
+  // Fresh Skolem function names are numbered in the order statements are
+  // Skolemized, and `explain` prints them: keep the kind-major order.
+  using Kind = ParsedDependency::Kind;
+  std::vector<SoTgd> pieces;
+  for (Kind kind : {Kind::kTgd, Kind::kHenkin, Kind::kNested, Kind::kSo}) {
+    for (const ParsedDependency& dep : program.dependencies) {
+      if (dep.kind == kind) {
+        pieces.push_back(SkolemizeStatement(arena, vocab, dep));
+      }
+    }
+  }
+  return MergeSo(pieces);
+}
+
+std::vector<AnalyzedRule> StatementRules(const ParsedDependency& dep,
+                                         uint32_t index, const SoTgd& so) {
   std::vector<AnalyzedRule> rules;
   for (uint32_t j = 0; j < so.parts.size(); ++j) {
     AnalyzedRule rule;
     rule.part = so.parts[j];
-    rule.dep_index = 0;
+    rule.dep_index = index;
     rule.part_index = j;
-    rule.label = "#1";
+    rule.label = StatementLabel(dep, index);
+    rule.line = dep.line;
+    rule.column = dep.column;
     rules.push_back(std::move(rule));
-  }
-  return AnalyzeRules(arena, std::move(rules));
-}
-
-std::vector<AnalyzedRule> FlattenProgram(TermArena* arena, Vocabulary* vocab,
-                                         const DependencyProgram& program) {
-  std::vector<AnalyzedRule> rules;
-  for (uint32_t i = 0; i < program.dependencies.size(); ++i) {
-    const ParsedDependency& dep = program.dependencies[i];
-    SoTgd so;
-    switch (dep.kind) {
-      case ParsedDependency::Kind::kTgd:
-        so = TgdToSo(arena, vocab, dep.tgd);
-        break;
-      case ParsedDependency::Kind::kSo:
-        so = dep.so;
-        break;
-      case ParsedDependency::Kind::kNested:
-        so = NestedToSo(arena, vocab, dep.nested);
-        break;
-      case ParsedDependency::Kind::kHenkin:
-        so = HenkinToSo(arena, vocab, dep.henkin);
-        break;
-    }
-    for (uint32_t j = 0; j < so.parts.size(); ++j) {
-      AnalyzedRule rule;
-      rule.part = so.parts[j];
-      rule.dep_index = i;
-      rule.part_index = j;
-      rule.label = dep.label.empty() ? Cat("#", i + 1) : dep.label;
-      rule.line = dep.line;
-      rule.column = dep.column;
-      rules.push_back(std::move(rule));
-    }
   }
   return rules;
 }
 
 ProgramAnalysis AnalyzeProgram(TermArena* arena, Vocabulary* vocab,
                                const DependencyProgram& program) {
-  return AnalyzeRules(*arena, FlattenProgram(arena, vocab, program));
+  std::vector<AnalyzedRule> rules;
+  for (uint32_t i = 0; i < program.dependencies.size(); ++i) {
+    const ParsedDependency& dep = program.dependencies[i];
+    std::vector<AnalyzedRule> statement =
+        StatementRules(dep, i, SkolemizeStatement(arena, vocab, dep));
+    std::move(statement.begin(), statement.end(), std::back_inserter(rules));
+  }
+  return AnalyzeRules(*arena, std::move(rules));
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,7 +1071,7 @@ Status ReplayTriangle(const TermArena& arena, const ProgramAnalysis& analysis,
 Status ReplayComplexity(const ProgramAnalysis& analysis) {
   const PositionGraph& graph = analysis.graph;
   const ComplexityBound& c = analysis.complexity;
-  ComplexityBound fresh = BuildComplexity(graph);
+  ComplexityBound fresh = BuildComplexity(graph, FindComponents(graph));
   if (fresh.tier != c.tier) return Fail("tier does not match the graph");
   auto closed_special_walk = [&](const std::vector<uint32_t>& walk) {
     return ReplayCycle(analysis, CycleWitness{walk});
@@ -1023,9 +1090,9 @@ Status ReplayComplexity(const ProgramAnalysis& analysis) {
           return Fail("rank path cites a non-special edge");
         }
         if (i == 0) continue;
-        std::vector<uint32_t> hop;
-        if (!EdgePath(graph, graph.edges[c.rank_path[i - 1]].to,
-                      graph.edges[c.rank_path[i]].from, &hop)) {
+        uint32_t from = graph.edges[c.rank_path[i - 1]].to;
+        uint32_t to = graph.edges[c.rank_path[i]].from;
+        if (from != to && BfsTree(graph, from, to)[to] < 0) {
           return Fail("rank path special edges do not chain");
         }
       }

@@ -284,13 +284,29 @@ ProgramAnalysis AnalyzeRules(const TermArena& arena,
 /// Convenience: analyzes a single SO tgd (one synthetic statement).
 ProgramAnalysis AnalyzeSo(const TermArena& arena, const SoTgd& so);
 
-/// Flattens a parsed program into origin-tracked Skolemized rules. Spans
-/// and labels come from the statements; tgd/nested/Henkin statements are
-/// Skolemized (fresh function symbols are interned into `vocab`).
-std::vector<AnalyzedRule> FlattenProgram(TermArena* arena, Vocabulary* vocab,
-                                         const DependencyProgram& program);
+/// The name a statement is reported under: its label, or "#k" for the
+/// k-th statement (1-based) when it has none.
+std::string StatementLabel(const ParsedDependency& dep, size_t index);
 
-/// FlattenProgram + AnalyzeRules.
+/// One statement's Skolemized form: tgd, nested and Henkin statements are
+/// Skolemized (fresh function symbols are interned into `vocab`); an SO
+/// tgd is returned as written.
+SoTgd SkolemizeStatement(TermArena* arena, Vocabulary* vocab,
+                         const ParsedDependency& dep);
+
+/// Every statement of `program` Skolemized into the one rule set that the
+/// chase-based commands run: all tgds, then all Henkin tgds, then each
+/// nested tgd, then each SO tgd, each group in statement order.
+SoTgd SkolemizeProgram(TermArena* arena, Vocabulary* vocab,
+                       const DependencyProgram& program);
+
+/// The origin-tracked rules of statement `index`, given its Skolemized
+/// form `so`: one rule per part, carrying the statement's label and span.
+std::vector<AnalyzedRule> StatementRules(const ParsedDependency& dep,
+                                         uint32_t index, const SoTgd& so);
+
+/// Analyzes a parsed program: the StatementRules of each statement's
+/// SkolemizeStatement, in statement order, through AnalyzeRules.
 ProgramAnalysis AnalyzeProgram(TermArena* arena, Vocabulary* vocab,
                                const DependencyProgram& program);
 

@@ -60,10 +60,6 @@ void CollectFunctions(const TermArena& arena, TermId t,
   for (TermId a : arena.args(t)) CollectFunctions(arena, a, out);
 }
 
-std::string LabelOf(const ParsedDependency& dep, size_t index) {
-  return dep.label.empty() ? Cat("#", index + 1) : dep.label;
-}
-
 // --- per-statement syntactic checks ----------------------------------------
 
 void CheckUnusedAndDuplicates(const TermArena& arena, const Vocabulary& vocab,
@@ -99,7 +95,7 @@ void CheckUnusedAndDuplicates(const TermArena& arena, const Vocabulary& vocab,
       if (count == 1 && !used_elsewhere.count(var)) {
         out->push_back({LintSeverity::kNote, "unused-body-variable",
                         Cat("variable ", vocab.VariableName(var),
-                            " of statement ", LabelOf(dep, s),
+                            " of statement ", StatementLabel(dep, s),
                             " occurs once and never reaches the head"),
                         dep.line, dep.column});
       }
@@ -113,7 +109,7 @@ void CheckUnusedAndDuplicates(const TermArena& arena, const Vocabulary& vocab,
           out->push_back({LintSeverity::kNote, "duplicate-atom",
                           Cat("duplicate ", where, " atom ",
                               ToString(arena, vocab, *atom),
-                              " in statement ", LabelOf(dep, s)),
+                              " in statement ", StatementLabel(dep, s)),
                           dep.line, dep.column});
         }
       }
@@ -151,8 +147,8 @@ void CheckSharedSkolems(const TermArena& arena, const Vocabulary& vocab,
       out->push_back({LintSeverity::kWarning, "shared-skolem-function",
                       Cat("function ", vocab.FunctionName(f),
                           " is existentially quantified by both statement ",
-                          LabelOf(first, it->second), " and statement ",
-                          LabelOf(dep, s),
+                          StatementLabel(first, it->second), " and statement ",
+                          StatementLabel(dep, s),
                           "; their choices are silently coupled"),
                       dep.line, dep.column});
     }
@@ -214,7 +210,7 @@ void CheckValidity(const TermArena& arena, const Vocabulary& vocab,
     }
     if (!status.ok()) {
       out->push_back({LintSeverity::kError, "invalid-statement",
-                      Cat("statement ", LabelOf(dep, s), ": ",
+                      Cat("statement ", StatementLabel(dep, s), ": ",
                           status.message()),
                       dep.line, dep.column});
     }

@@ -21,7 +21,6 @@
 #include "snapshot/snapshot.h"
 #include "classify/criteria.h"
 #include "classify/dot.h"
-#include "dep/skolem.h"
 #include "dep/syntactic.h"
 #include "mc/model_check.h"
 #include "exchange/exchange.h"
@@ -287,26 +286,6 @@ std::optional<Instance> LoadInstance(CliContext* ctx,
   return instance;
 }
 
-/// Skolemizes all dependencies of a program into one rule set.
-SoTgd ProgramRules(CliContext* ctx, const DependencyProgram& program) {
-  std::vector<SoTgd> pieces;
-  std::vector<Tgd> tgds = program.Tgds();
-  if (!tgds.empty()) {
-    pieces.push_back(TgdsToSo(&ctx->arena, &ctx->vocab, tgds));
-  }
-  std::vector<HenkinTgd> henkins = program.Henkins();
-  if (!henkins.empty()) {
-    pieces.push_back(HenkinsToSo(&ctx->arena, &ctx->vocab, henkins));
-  }
-  for (const NestedTgd& nested : program.Nesteds()) {
-    pieces.push_back(NestedToSo(&ctx->arena, &ctx->vocab, nested));
-  }
-  for (const SoTgd& so : program.Sos()) {
-    pieces.push_back(so);
-  }
-  return MergeSo(pieces);
-}
-
 /// --auto-budget: fills the still-unset step/deadline budgets from the
 /// structural chase-complexity tier (docs/BUDGETS.md) and records the
 /// '# status:' echo token. Explicit flags always win — only zero-valued
@@ -314,17 +293,15 @@ SoTgd ProgramRules(CliContext* ctx, const DependencyProgram& program) {
 /// default output stays byte-identical.
 void ApplyAutoBudget(CliContext* ctx, const SoTgd& rules) {
   if (!ctx->auto_budget) return;
-  ComplexityTier tier = ChaseComplexityTier(ctx->arena, rules);
+  ComplexityBound bound = AnalyzeSo(ctx->arena, rules).complexity;
   uint64_t steps = 0, deadline_ms = 0;
-  switch (tier) {
-    case ComplexityTier::kPolynomial: {
+  switch (bound.tier) {
+    case ComplexityTier::kPolynomial:
       // Terminating by construction: scale the step budget with the
       // proven null-nesting rank and allow a generous deadline.
-      uint64_t rank = AnalyzeSo(ctx->arena, rules).complexity.rank;
-      steps = (rank + 1) * 2000000;
+      steps = (uint64_t{bound.rank} + 1) * 2000000;
       deadline_ms = 120000;
       break;
-    }
     case ComplexityTier::kExponential:
       steps = 1000000;
       deadline_ms = 30000;
@@ -340,7 +317,7 @@ void ApplyAutoBudget(CliContext* ctx, const SoTgd& rules) {
   if (ctx->limits.budget.deadline_ms == 0) {
     ctx->limits.budget.deadline_ms = deadline_ms;
   }
-  ctx->status_suffix = Cat(" auto_budget=", ComplexityTierName(tier),
+  ctx->status_suffix = Cat(" auto_budget=", ComplexityTierName(bound.tier),
                            ":max-steps=", ctx->limits.budget.max_steps,
                            ":deadline-ms=", ctx->limits.budget.deadline_ms);
 }
@@ -370,10 +347,6 @@ void EndStoppedRender(ChunkedWriter* out, bool mid_line,
   out->Append('\n');
 }
 
-std::string LabelOf(const ParsedDependency& dep, size_t index) {
-  return dep.label.empty() ? Cat("#", index + 1) : dep.label;
-}
-
 const char* KindName(ParsedDependency::Kind kind) {
   switch (kind) {
     case ParsedDependency::Kind::kTgd:
@@ -388,21 +361,6 @@ const char* KindName(ParsedDependency::Kind kind) {
   return "?";
 }
 
-/// One dependency's Skolemized form (for classify/check).
-SoTgd SkolemizeOne(CliContext* ctx, const ParsedDependency& dep) {
-  switch (dep.kind) {
-    case ParsedDependency::Kind::kTgd:
-      return TgdToSo(&ctx->arena, &ctx->vocab, dep.tgd);
-    case ParsedDependency::Kind::kSo:
-      return dep.so;
-    case ParsedDependency::Kind::kNested:
-      return NestedToSo(&ctx->arena, &ctx->vocab, dep.nested);
-    case ParsedDependency::Kind::kHenkin:
-      return HenkinToSo(&ctx->arena, &ctx->vocab, dep.henkin);
-  }
-  return {};
-}
-
 int CmdClassify(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (ctx->positional.size() != 1) {
     err << kUsage;
@@ -412,25 +370,15 @@ int CmdClassify(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (!program.has_value()) return kExitInput;
   for (size_t i = 0; i < program->dependencies.size(); ++i) {
     const ParsedDependency& dep = program->dependencies[i];
-    SoTgd so = SkolemizeOne(ctx, dep);
-    out << LabelOf(dep, i) << " (" << KindName(dep.kind) << ")\n";
+    SoTgd so = SkolemizeStatement(&ctx->arena, &ctx->vocab, dep);
+    out << StatementLabel(dep, i) << " (" << KindName(dep.kind) << ")\n";
     out << "  figure-1: " << ToString(ClassifyFigure1(ctx->arena, so))
         << "\n";
     // Per-statement analysis, labeled so witnesses read naturally. The
     // membership row itself stays byte-identical to the pre-analyzer
     // output; witnesses ride along as '#'-prefixed extra lines.
-    std::vector<AnalyzedRule> rules;
-    for (uint32_t j = 0; j < so.parts.size(); ++j) {
-      AnalyzedRule rule;
-      rule.part = so.parts[j];
-      rule.dep_index = static_cast<uint32_t>(i);
-      rule.part_index = j;
-      rule.label = LabelOf(dep, i);
-      rule.line = dep.line;
-      rule.column = dep.column;
-      rules.push_back(std::move(rule));
-    }
-    ProgramAnalysis analysis = AnalyzeRules(ctx->arena, std::move(rules));
+    ProgramAnalysis analysis = AnalyzeRules(
+        ctx->arena, StatementRules(dep, static_cast<uint32_t>(i), so));
     out << "  figure-2: " << ToString(analysis.Membership()) << "\n";
     for (const CriterionVerdict& verdict : analysis.verdicts) {
       if (verdict.holds) continue;
@@ -442,7 +390,7 @@ int CmdClassify(CliContext* ctx, std::ostream& out, std::ostream& err) {
         << "\n";
   }
   // Whole-program termination check via the critical instance.
-  SoTgd rules = ProgramRules(ctx, *program);
+  SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   std::set<RelationId> schema;
   for (const SoPart& part : rules.parts) {
     for (const Atom& atom : part.body) schema.insert(atom.relation);
@@ -568,7 +516,7 @@ int CmdChase(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (!program.has_value()) return kExitInput;
   auto instance = LoadInstance(ctx, ctx->positional[1], err);
   if (!instance.has_value()) return kExitInput;
-  SoTgd rules = ProgramRules(ctx, *program);
+  SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   ApplyAutoBudget(ctx, rules);
   ChaseEngine engine(&ctx->arena, &ctx->vocab, rules, *instance,
                      ctx->limits);
@@ -647,7 +595,7 @@ int CmdCheck(CliContext* ctx, std::ostream& out, std::ostream& err) {
       }
     }
     violated |= verdict.rfind("VIOLATED", 0) == 0;
-    out << LabelOf(dep, i) << " (" << KindName(dep.kind)
+    out << StatementLabel(dep, i) << " (" << KindName(dep.kind)
         << "): " << verdict << "\n";
   }
   // A definite violation outranks an UNKNOWN: the negative verdict stands
@@ -680,7 +628,7 @@ int CmdCertain(CliContext* ctx, std::ostream& out, std::ostream& err) {
     err << "tgdkit: query: " << query.status().ToString() << "\n";
     return kExitInput;
   }
-  SoTgd rules = ProgramRules(ctx, *program);
+  SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   ApplyAutoBudget(ctx, rules);
   CertainAnswers answers = ComputeCertainAnswers(
       &ctx->arena, &ctx->vocab, rules, *instance, *query, ctx->limits);
@@ -713,7 +661,7 @@ int CmdNormalize(CliContext* ctx, std::ostream& out, std::ostream& err) {
   for (size_t i = 0; i < program->dependencies.size(); ++i) {
     const ParsedDependency& dep = program->dependencies[i];
     if (dep.kind != ParsedDependency::Kind::kNested) continue;
-    out << LabelOf(dep, i) << ":\n";
+    out << StatementLabel(dep, i) << ":\n";
     SoTgd so = NestedToSo(&ctx->arena, &ctx->vocab, dep.nested);
     out << "  nested-to-so: " << ToString(ctx->arena, ctx->vocab, so)
         << "\n";
@@ -742,7 +690,7 @@ int CmdExplain(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (!program.has_value()) return kExitInput;
   auto instance = LoadInstance(ctx, ctx->positional[1], err);
   if (!instance.has_value()) return kExitInput;
-  SoTgd rules = ProgramRules(ctx, *program);
+  SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   ApplyAutoBudget(ctx, rules);
   ChaseResult result =
       Chase(&ctx->arena, &ctx->vocab, rules, *instance, ctx->limits);
@@ -815,7 +763,7 @@ int CmdSolve(CliContext* ctx, std::ostream& out, std::ostream& err) {
   auto instance = LoadInstance(ctx, ctx->positional[1], err);
   if (!instance.has_value()) return kExitInput;
   SchemaMapping mapping;
-  mapping.rules = ProgramRules(ctx, *program);
+  mapping.rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   // Infer the split: body relations are source, head relations target.
   for (const SoPart& part : mapping.rules.parts) {
     for (const Atom& atom : part.body) {
@@ -891,11 +839,10 @@ int CmdDot(CliContext* ctx, std::ostream& out, std::ostream& err) {
   }
   auto program = LoadDependencies(ctx, ctx->positional[0], err);
   if (!program.has_value()) return kExitInput;
-  SoTgd rules = ProgramRules(ctx, *program);
-  out << "// position dependency graph (dashed = special edges)\n";
-  out << PositionGraphDot(ctx->arena, ctx->vocab, rules);
   ProgramAnalysis analysis =
       AnalyzeProgram(&ctx->arena, &ctx->vocab, *program);
+  out << "// position dependency graph (dashed = special edges)\n";
+  out << PositionGraphDot(ctx->vocab, analysis);
   out << "// analysis graph (edges labeled rule/variable; affected "
          "shaded, marked bold; witness cycle and unguarded triangle "
          "red)\n";
@@ -905,10 +852,10 @@ int CmdDot(CliContext* ctx, std::ostream& out, std::ostream& err) {
   for (size_t i = 0; i < program->dependencies.size(); ++i) {
     const ParsedDependency& dep = program->dependencies[i];
     if (dep.kind == ParsedDependency::Kind::kHenkin) {
-      out << "// quantifier order of " << LabelOf(dep, i) << "\n";
+      out << "// quantifier order of " << StatementLabel(dep, i) << "\n";
       out << QuantifierDot(ctx->vocab, dep.henkin.quantifier);
     } else if (dep.kind == ParsedDependency::Kind::kNested) {
-      out << "// nesting tree of " << LabelOf(dep, i) << "\n";
+      out << "// nesting tree of " << StatementLabel(dep, i) << "\n";
       out << NestingTreeDot(ctx->arena, ctx->vocab, dep.nested);
     }
   }

@@ -1,6 +1,5 @@
 #include "classify/dot.h"
 
-#include <map>
 #include <set>
 #include <vector>
 
@@ -12,20 +11,6 @@ namespace {
 
 std::string PositionName(const Vocabulary& vocab, const Position& p) {
   return Cat(vocab.RelationName(p.first), ".", p.second);
-}
-
-/// Collects the body positions of each variable of a part (top level).
-std::map<VariableId, std::set<Position>> BodyPositionsOf(
-    const TermArena& arena, const SoPart& part) {
-  std::map<VariableId, std::set<Position>> out;
-  for (const Atom& atom : part.body) {
-    for (uint32_t i = 0; i < atom.args.size(); ++i) {
-      if (arena.IsVariable(atom.args[i])) {
-        out[arena.symbol(atom.args[i])].insert({atom.relation, i});
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -112,45 +97,31 @@ std::string Figure2HasseDot(const Figure2Membership& m) {
   return out;
 }
 
-std::string PositionGraphDot(const TermArena& arena, const Vocabulary& vocab,
-                             const SoTgd& so) {
-  std::set<Position> affected = AffectedPositions(arena, so);
+std::string PositionGraphDot(const Vocabulary& vocab,
+                             const ProgramAnalysis& analysis) {
+  const PositionGraph& graph = analysis.graph;
+  // Drawn: every top-level body-variable position and every edge target,
+  // with parallel edges collapsed to one (from, to, special) triple.
   std::set<Position> nodes;
-  // (from, to, special)
-  std::set<std::tuple<Position, Position, bool>> edges;
-
-  for (const SoPart& part : so.parts) {
-    auto body_positions = BodyPositionsOf(arena, part);
-    for (const auto& [var, positions] : body_positions) {
-      for (const Position& from : positions) {
-        nodes.insert(from);
-        for (const Atom& atom : part.head) {
-          for (uint32_t i = 0; i < atom.args.size(); ++i) {
-            TermId t = atom.args[i];
-            Position to{atom.relation, i};
-            if (arena.IsVariable(t) && arena.symbol(t) == var) {
-              nodes.insert(to);
-              edges.insert({from, to, false});
-            } else if (arena.IsFunction(t)) {
-              std::vector<VariableId> term_vars;
-              arena.CollectVariables(t, &term_vars);
-              for (VariableId tv : term_vars) {
-                if (tv == var) {
-                  nodes.insert(to);
-                  edges.insert({from, to, true});
-                }
-              }
-            }
-          }
+  for (const AnalyzedRule& rule : analysis.rules) {
+    for (const Atom& atom : rule.part.body) {
+      for (uint32_t i = 0; i < atom.args.size(); ++i) {
+        if (analysis.arena->IsVariable(atom.args[i])) {
+          nodes.insert({atom.relation, i});
         }
       }
     }
+  }
+  std::set<std::tuple<Position, Position, bool>> edges;
+  for (const PositionEdge& edge : graph.edges) {
+    nodes.insert(graph.nodes[edge.to]);
+    edges.insert({graph.nodes[edge.from], graph.nodes[edge.to], edge.special});
   }
 
   std::string out = "digraph positions {\n  rankdir=LR;\n";
   for (const Position& p : nodes) {
     out += Cat("  \"", PositionName(vocab, p), "\"");
-    if (affected.count(p)) {
+    if (analysis.affected.affected.count(p)) {
       out += " [style=filled, fillcolor=lightgray]";
     }
     out += ";\n";

@@ -29,12 +29,14 @@ std::string AnalysisDot(const Vocabulary& vocab,
 /// guarded above weakly-acyclic, weakly-guarded and sticky-join.
 std::string Figure2HasseDot(const Figure2Membership& membership);
 
-/// The position dependency graph of `so`: nodes are relation positions,
-/// solid edges are regular, dashed edges are special (they introduce
-/// nulls). Affected positions are shaded. A cycle through a dashed edge
-/// is exactly a weak-acyclicity violation.
-std::string PositionGraphDot(const TermArena& arena, const Vocabulary& vocab,
-                             const SoTgd& so);
+/// The analysis's position dependency graph without provenance: nodes
+/// are the relation positions that hold a body variable or receive an
+/// edge, solid edges are regular, dashed edges are special (they
+/// introduce nulls), and parallel edges are drawn once. Affected
+/// positions are shaded. A cycle through a dashed edge is exactly a
+/// weak-acyclicity violation.
+std::string PositionGraphDot(const Vocabulary& vocab,
+                             const ProgramAnalysis& analysis);
 
 /// The order graph of a Henkin quantifier: universals as boxes,
 /// existentials as ellipses, one edge per generator pair.

@@ -14,11 +14,9 @@
 #include "analyze/analysis.h"
 #include "base/strings.h"
 #include "chase/chase.h"
-#include "dep/skolem.h"
 #include "parse/parser.h"
 #include "query/query.h"
 #include "snapshot/snapshot.h"
-#include "transform/nested.h"
 
 namespace tgdkit {
 
@@ -145,22 +143,8 @@ Status BuildWorkload(const FuzzScenario& scenario, Workload* w) {
     if (!query.ok()) return query.status();
     w->query = std::move(*query);
   }
-  // Mirror of api.cc's ProgramRules so the in-process engines run the
-  // exact rule set the CLI would.
   w->tgds = w->program.Tgds();
-  std::vector<SoTgd> sos;
-  if (!w->tgds.empty()) {
-    sos.push_back(TgdsToSo(&w->arena, &w->vocab, w->tgds));
-  }
-  std::vector<HenkinTgd> henkins = w->program.Henkins();
-  if (!henkins.empty()) {
-    sos.push_back(HenkinsToSo(&w->arena, &w->vocab, henkins));
-  }
-  for (const NestedTgd& nested : w->program.Nesteds()) {
-    sos.push_back(NestedToSo(&w->arena, &w->vocab, nested));
-  }
-  for (SoTgd& so : w->program.Sos()) sos.push_back(std::move(so));
-  w->merged = MergeSo(sos);
+  w->merged = SkolemizeProgram(&w->arena, &w->vocab, w->program);
   return Status::Ok();
 }
 

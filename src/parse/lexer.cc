@@ -76,7 +76,10 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
       continue;
     }
     if (c == '#' || (c == '/' && i + 1 < input.size() && input[i + 1] == '/')) {
-      while (i < input.size() && input[i] != '\n') ++i;
+      while (i < input.size() && input[i] != '\n') {
+        ++i;
+        ++column;
+      }
       continue;
     }
     uint32_t start_col = column;

@@ -666,8 +666,10 @@ bool ReadSpilledFacts(Reader* r, Vocabulary* vocab,
   return true;
 }
 
+/// `provenance_nulls` is the size of the already-read `prov` section,
+/// which holds one entry per null and so is bounded by the payload size.
 bool ReadInstance(Reader* r, Vocabulary* vocab, Instance* out,
-                  const std::string& spill_dir) {
+                  const std::string& spill_dir, uint64_t provenance_nulls) {
   uint64_t nulls = 0;
   uint64_t labeled = 0;
   if (!r->Expect("nulls") || !r->U64(&nulls) || !r->Expect("labels") ||
@@ -675,6 +677,10 @@ bool ReadInstance(Reader* r, Vocabulary* vocab, Instance* out,
     return false;
   }
   if (nulls > 0x7fffffffull) return r->Fail("null count out of range");
+  // Checked before the loaders below allocate the declared nulls.
+  if (nulls != provenance_nulls) {
+    return r->Fail("null provenance count does not match the null count");
+  }
   std::vector<std::pair<uint32_t, std::string>> labels;
   for (uint64_t i = 0; i < labeled; ++i) {
     uint32_t index = 0;
@@ -934,15 +940,12 @@ Result<ChaseSnapshot> ParseChaseSnapshot(std::string_view bytes,
     }
     state.rows_before_current_round.emplace_back(rel, count);
   }
-  if (!ReadInstance(&r, snap.vocab.get(), &state.instance, spill_dir)) {
+  if (!ReadInstance(&r, snap.vocab.get(), &state.instance, spill_dir,
+                    state.null_provenance.size())) {
     return std::move(r).TakeError();
   }
   if (any_null_seen && max_null_seen >= state.instance.num_nulls()) {
     r.Fail("term-to-value references unknown null");
-    return std::move(r).TakeError();
-  }
-  if (state.null_provenance.size() != state.instance.num_nulls()) {
-    r.Fail("null provenance count does not match the null count");
     return std::move(r).TakeError();
   }
   if (!r.Expect("end") || !r.AtEnd()) {

@@ -483,6 +483,94 @@ TEST_P(AnalyzeDifferentialTest, PolynomialTierImpliesChaseFixpoint) {
          "fixpoint";
 }
 
+/// Reference BFS: the edges of the first path found from `from` to `to`,
+/// scanning each node's out-edges in order. False when unreachable.
+bool NaiveEdgePath(const PositionGraph& graph, uint32_t from, uint32_t to,
+                   std::vector<uint32_t>* path) {
+  std::vector<int64_t> via(graph.nodes.size(), -1);
+  std::vector<bool> seen(graph.nodes.size(), false);
+  std::vector<uint32_t> queue{from};
+  seen[from] = true;
+  for (size_t q = 0; q < queue.size() && !seen[to]; ++q) {
+    for (uint32_t e : graph.out_edges[queue[q]]) {
+      uint32_t next = graph.edges[e].to;
+      if (seen[next]) continue;
+      seen[next] = true;
+      via[next] = e;
+      queue.push_back(next);
+    }
+  }
+  if (!seen[to]) return false;
+  path->clear();
+  for (uint32_t at = to; at != from; at = graph.edges[via[at]].from) {
+    path->insert(path->begin(), static_cast<uint32_t>(via[at]));
+  }
+  return true;
+}
+
+/// Reference rank: the most special edges on a simple path starting at
+/// `node`, by exhaustive depth-first search.
+uint32_t MostSpecialEdges(const PositionGraph& graph, uint32_t node,
+                          std::vector<bool>* on_path) {
+  (*on_path)[node] = true;
+  uint32_t best = 0;
+  for (uint32_t e : graph.out_edges[node]) {
+    const PositionEdge& edge = graph.edges[e];
+    if ((*on_path)[edge.to]) continue;
+    best = std::max(best, (edge.special ? 1u : 0u) +
+                              MostSpecialEdges(graph, edge.to, on_path));
+  }
+  (*on_path)[node] = false;
+  return best;
+}
+
+TEST_P(AnalyzeDifferentialTest, WeakAcyclicityAndRankMatchNaiveReferences) {
+  // The analyzer decides weak acyclicity and the rank from its strongly
+  // connected components. The references below know nothing of them:
+  // weak acyclicity fails iff some special edge's head reaches its tail
+  // (one BFS per special edge, whose first hit is the witness walk), and
+  // the rank is the most special edges on any path.
+  TestWorkspace ws;
+  Rng rng(GetParam() * 73 + 9);
+  std::vector<RelationId> relations =
+      GenerateSchema(&ws.vocab, &rng, SchemaConfig{});
+  for (int program = 0; program < 8; ++program) {
+    std::vector<Tgd> tgds;
+    for (int i = 0; i < 3; ++i) {
+      tgds.push_back(
+          GenerateTgd(&ws.arena, &ws.vocab, &rng, relations, TgdConfig{}));
+    }
+    ProgramAnalysis analysis =
+        AnalyzeSo(ws.arena, TgdsToSo(&ws.arena, &ws.vocab, tgds));
+    const PositionGraph& graph = analysis.graph;
+    std::vector<uint32_t> walk;
+    for (uint32_t se = 0; se < graph.edges.size() && walk.empty(); ++se) {
+      std::vector<uint32_t> back;
+      if (!graph.edges[se].special ||
+          !NaiveEdgePath(graph, graph.edges[se].to, graph.edges[se].from,
+                         &back)) {
+        continue;
+      }
+      walk.push_back(se);
+      walk.insert(walk.end(), back.begin(), back.end());
+    }
+    const CriterionVerdict& wa = analysis.verdict(Criterion::kWeaklyAcyclic);
+    ASSERT_EQ(wa.holds, walk.empty()) << "program " << program;
+    EXPECT_EQ(analysis.complexity.tier == ComplexityTier::kPolynomial,
+              wa.holds);
+    if (!wa.holds) {
+      EXPECT_EQ(std::get<CycleWitness>(wa.witness).edges, walk);
+      continue;
+    }
+    uint32_t rank = 0;
+    std::vector<bool> on_path(graph.nodes.size(), false);
+    for (uint32_t n = 0; n < graph.nodes.size(); ++n) {
+      rank = std::max(rank, MostSpecialEdges(graph, n, &on_path));
+    }
+    EXPECT_EQ(analysis.complexity.rank, rank) << "program " << program;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzeDifferentialTest,
                          ::testing::Values(3, 13, 29, 41, 53, 67, 79, 101,
                                            113, 127, 139, 151));

@@ -25,7 +25,7 @@ TEST_F(DotTest, PositionGraphShowsSpecialEdges) {
   ASSERT_TRUE(program.ok());
   std::vector<Tgd> tgds = program->Tgds();
   SoTgd so = TgdsToSo(&ws_.arena, &ws_.vocab, tgds);
-  std::string dot = PositionGraphDot(ws_.arena, ws_.vocab, so);
+  std::string dot = PositionGraphDot(ws_.vocab, AnalyzeSo(ws_.arena, so));
   EXPECT_NE(dot.find("digraph positions"), std::string::npos);
   // Regular edge P.0 -> R.0, special edge P.0 -> R.1.
   EXPECT_NE(dot.find("\"P.0\" -> \"R.0\";"), std::string::npos);
@@ -71,7 +71,8 @@ TEST_F(DotTest, PcpPositionGraphHasSpecialCycle) {
   PcpInstance pcp{2, {{{1}, {2}}, {{2}, {1}}}};
   PcpEncoding enc = BuildPcpEncoding(&ws_.arena, &ws_.vocab, pcp);
   SoTgd rules = enc.HenkinRuleSet(&ws_.arena, &ws_.vocab);
-  std::string dot = PositionGraphDot(ws_.arena, ws_.vocab, rules);
+  std::string dot =
+      PositionGraphDot(ws_.vocab, AnalyzeSo(ws_.arena, rules));
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
   // Both term-carrying positions of R are affected (shaded).
   EXPECT_NE(dot.find("\"R.1\" [style=filled"), std::string::npos);

@@ -17,6 +17,12 @@
 // Each is checked at --threads 1, at --threads 4 (ignoring the threads=
 // echo) and under --spill-dir with 1 KiB segments (ignoring the spill
 // status fields).
+//
+// The same directory pins the `lint`, `classify` and `dot` stdout of the
+// nine corpus programs and of chain64, the 64-link chain shape that the
+// serve-mix workload lints. They carry every verdict, witness and
+// complexity line, so how the analyzer derives them may change but what
+// it prints may not.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -92,6 +98,29 @@ class GoldenTest : public ::testing::Test {
 };
 
 TEST_F(GoldenTest, ClosureChaseAndExplainBytes) { ExpectGoldenBytes("closure"); }
+
+TEST_F(GoldenTest, AnalyzerCommandBytes) {
+  const std::string root = std::string(TGDKIT_SOURCE_DIR) + "/";
+  for (const std::string program :
+       {"corpus/paper_intro", "corpus/paper_selfmgr", "corpus/paper_tau",
+        "corpus/paper_theorem41", "corpus/tier_exponential",
+        "corpus/tier_nonelementary", "corpus/tier_polynomial",
+        "corpus/triangular_frontier", "corpus/university",
+        "tests/golden/chain64"}) {
+    std::string stem = program.substr(program.rfind('/') + 1);
+    for (const std::string command : {"lint", "classify", "dot"}) {
+      SCOPED_TRACE(program + " " + command);
+      std::string golden = ReadFile(GoldenPath(stem + "." + command + ".out"));
+      ASSERT_FALSE(golden.empty());
+      std::string out = Run({command, root + program + ".tgd"});
+      // lint names the file as given; the goldens name it from the root.
+      for (size_t at; (at = out.find(root)) != std::string::npos;) {
+        out.erase(at, root.size());
+      }
+      EXPECT_EQ(out, golden);
+    }
+  }
+}
 
 TEST_F(GoldenTest, ExchangeChaseAndExplainBytes) {
   ExpectGoldenBytes("exchange");

@@ -146,6 +146,12 @@ TEST_F(ParserErrorTest, InstanceErrorsSurfaceLocations) {
   EXPECT_NE(status.message().find("arity"), std::string::npos);
 }
 
+TEST_F(ParserErrorTest, EndOfInputColumnCountsTrailingComments) {
+  // The input ends one column past the comment's last byte.
+  ExpectError("P(x) -> Q(x) // c", "line 1, column 18: expected '.'");
+  ExpectError("P(x) -> Q(x) # c", "line 1, column 17: expected '.'");
+}
+
 TEST_F(ParserErrorTest, QueryMissingTurnstile) {
   Parser p(&ws_.arena, &ws_.vocab);
   auto q = p.ParseQuery("ans(x) R(x).");

@@ -61,6 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
         RejectionCase{"empty.snap", Status::Code::kDataLoss},
         RejectionCase{"garbage.snap", Status::Code::kDataLoss},
         RejectionCase{"null_index_past_count.snap",
+                      Status::Code::kDataLoss},
+        RejectionCase{"null_count_past_provenance.snap",
                       Status::Code::kDataLoss}));
 
 TEST_P(CorpusRejectionTest, RejectedWithTypedStatus) {
