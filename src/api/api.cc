@@ -518,9 +518,8 @@ int CmdChase(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (!instance.has_value()) return kExitInput;
   SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   ApplyAutoBudget(ctx, rules);
-  ChaseEngine engine(&ctx->arena, &ctx->vocab, rules, *instance,
+  ChaseEngine engine(&ctx->arena, &ctx->vocab, rules, std::move(*instance),
                      ctx->limits);
-  instance.reset();  // the engine holds its own copy
   Rng rng(ctx->seed);
   return RunChaseEngine(ctx, &engine, ctx->vocab, ctx->arena, rules,
                         ctx->seed, &rng, out, err);
@@ -628,10 +627,16 @@ int CmdCertain(CliContext* ctx, std::ostream& out, std::ostream& err) {
     err << "tgdkit: query: " << query.status().ToString() << "\n";
     return kExitInput;
   }
-  SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
+  // Only the parts that reach the query are chased, and --auto-budget
+  // takes its tier from them.
+  std::vector<RelationId> targets;
+  for (const Atom& atom : query->atoms) targets.push_back(atom.relation);
+  SoTgd rules = PartsReaching(
+      SkolemizeProgram(&ctx->arena, &ctx->vocab, *program), targets);
   ApplyAutoBudget(ctx, rules);
-  CertainAnswers answers = ComputeCertainAnswers(
-      &ctx->arena, &ctx->vocab, rules, *instance, *query, ctx->limits);
+  CertainAnswers answers =
+      ComputeCertainAnswers(&ctx->arena, &ctx->vocab, rules,
+                            std::move(*instance), *query, ctx->limits);
   out << "# " << (answers.Complete() ? "complete" : "TRUNCATED")
       << " (chase " << answers.chase_rounds << " rounds)\n";
   out << "# status: "
@@ -640,9 +645,12 @@ int CmdCertain(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (query->IsBoolean()) {
     out << (answers.answers.empty() ? "false" : "true") << "\n";
   } else {
+    // Answers hold constants only.
     for (const auto& row : answers.answers) {
       out << JoinMapped(row, ", ",
-                        [&](Value v) { return instance->ValueToString(v); })
+                        [&](Value v) {
+                          return ConstantToString(ctx->vocab, v.index());
+                        })
           << "\n";
     }
   }
@@ -692,9 +700,8 @@ int CmdExplain(CliContext* ctx, std::ostream& out, std::ostream& err) {
   if (!instance.has_value()) return kExitInput;
   SoTgd rules = SkolemizeProgram(&ctx->arena, &ctx->vocab, *program);
   ApplyAutoBudget(ctx, rules);
-  ChaseResult result =
-      Chase(&ctx->arena, &ctx->vocab, rules, *instance, ctx->limits);
-  instance.reset();  // the result holds the chased copy
+  ChaseResult result = Chase(&ctx->arena, &ctx->vocab, rules,
+                             std::move(*instance), ctx->limits);
   out << "# chase " << ToString(result.stop_reason) << "; "
       << result.instance.num_nulls() << " nulls\n";
   out << "# status: "

@@ -26,14 +26,31 @@ unsigned ResolveThreads(uint32_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-/// First-cause abort latch shared by one round's staging workers. Only
-/// inherently time-based stops (deadline, cancellation) abort staging from
-/// inside a worker; deterministic budgets (steps, memory, structural caps)
-/// are enforced solely at the serial merge so their trip points cannot
-/// depend on scheduling.
+/// Staged bytes a slice accumulates before it adds them to the round's
+/// shared total.
+constexpr uint64_t kStageChargeBytes = 64 * 1024;
+
+/// First-cause abort latch shared by one round's staging workers. Two kinds
+/// of stop abort staging from inside a worker, and the round is then
+/// discarded whole, no steps charged:
+///  * the time-based ones (deadline, cancellation);
+///  * a memory budget on the round's staged rows. Every slice adds all it
+///    stages to one total, so the budget trips iff the whole round would
+///    stage more than it allows. That depends only on the slice geometry,
+///    so this stop is the same at every thread count.
+/// The other budgets (steps, the arena's and the instance's bytes,
+/// structural caps) are enforced solely at the serial merge so their trip
+/// points cannot depend on scheduling.
 struct StageAbort {
+  explicit StageAbort(uint64_t max_staged_bytes)
+      : max_staged_bytes(max_staged_bytes) {}
+
   std::atomic<bool> requested{false};
   std::atomic<uint8_t> reason{static_cast<uint8_t>(StopReason::kFixpoint)};
+  /// The memory budget (0: staging is unbounded) and the bytes the round
+  /// has staged so far.
+  const uint64_t max_staged_bytes;
+  std::atomic<uint64_t> staged_bytes{0};
 
   void Request(StopReason r) {
     reason.store(static_cast<uint8_t>(r), std::memory_order_relaxed);
@@ -44,6 +61,14 @@ struct StageAbort {
   }
   StopReason Reason() const {
     return static_cast<StopReason>(reason.load(std::memory_order_relaxed));
+  }
+  /// Adds `bytes` to the round's staged total; past the budget, requests
+  /// a memory-limit abort.
+  void ChargeStaged(uint64_t bytes) {
+    if (max_staged_bytes == 0) return;
+    uint64_t total =
+        staged_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    if (total > max_staged_bytes) Request(StopReason::kMemoryLimit);
   }
 };
 
@@ -106,36 +131,44 @@ void PushRowSlices(const MatchSlice& proto, size_t begin, size_t end,
 
 /// Stages one slice: read-only matching against the round-frozen instance
 /// into `out`, under the row windows `window` (empty = none). `keep`
-/// (restricted chase) drops matches whose head already holds. Runs
-/// concurrently with itself on other slices — everything it touches is
-/// immutable, per-slice, or atomic.
+/// (restricted chase) drops matches whose head already holds. Every staged
+/// byte is charged to `abort`, a chunk at a time. Runs concurrently with
+/// itself on other slices — everything it touches is immutable, per-slice,
+/// or atomic.
 void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
               const MatchSlice& slice, std::span<const uint32_t> window,
               const Matcher::Callback& keep,
-              const std::function<bool()>& periodic, const StageAbort& abort,
+              const std::function<bool()>& periodic, StageAbort* abort,
               SliceResult* out) {
   if (!periodic()) return;
   SearchControls controls;
   controls.probe_counter = &out->steps;
   controls.periodic_check = periodic;
   controls.row_limits = window;
+  uint64_t uncharged = 0;
   Matcher::Callback emit = [&](std::span<const Value> row) {
     if (!keep || keep(row)) {
       out->values.insert(out->values.end(), row.begin(), row.end());
       ++out->matches;
+      uncharged += row.size_bytes();
+      if (uncharged >= kStageChargeBytes) {
+        abort->ChargeStaged(uncharged);
+        uncharged = 0;
+      }
     }
-    return !abort.Requested();
+    return !abort->Requested();
   };
   if (slice.root_atom < 0) {
     matcher.ForEach({}, emit, controls);
-    return;
+  } else {
+    std::vector<uint32_t> rows;
+    rows.reserve(slice.end - slice.begin);
+    for (size_t i = slice.begin; i < slice.end; ++i) {
+      rows.push_back(slice.delta ? static_cast<uint32_t>(i) : split.Row(i));
+    }
+    matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
   }
-  std::vector<uint32_t> rows;
-  rows.reserve(slice.end - slice.begin);
-  for (size_t i = slice.begin; i < slice.end; ++i) {
-    rows.push_back(slice.delta ? static_cast<uint32_t>(i) : split.Row(i));
-  }
-  matcher.ForEachFromRoot({}, slice.root_atom, rows, emit, controls);
+  abort->ChargeStaged(uncharged);
 }
 
 /// Row count of `rel` in a per-relation window map (0 when absent).
@@ -272,7 +305,7 @@ void ChaseEngine::CompileRules() {
 }
 
 ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
-                         const SoTgd& rules, const Instance& input,
+                         const SoTgd& rules, Instance input,
                          ChaseLimits limits)
     : arena_(arena),
       vocab_(vocab),
@@ -286,9 +319,18 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
   Instance* instance_ptr = &instance_;
   governor_.AddMemorySource(
       [instance_ptr] { return instance_ptr->ApproxBytes(); });
-  if (!limits_.spill_dir.empty()) {
+  if (limits_.spill_dir.empty()) {
+    // In-core, the input becomes the instance: the same rows, row ids and
+    // byte accounting a copy would have. CopyFacts never copied null
+    // labels, so the chase prints input nulls by index; keep it so.
+    instance_ = std::move(input);
+    for (uint32_t i = 0; i < instance_.num_nulls(); ++i) {
+      instance_.SetNullLabel(i, "");
+    }
+  } else {
     // The out-of-core backend must be selected before the first fact
-    // lands (EnableSpill requires an empty store), i.e. before CopyFacts.
+    // lands (EnableSpill requires an empty store), so a spilled engine
+    // copies its input instead of taking it over.
     Status enabled = MakeDirectories(limits_.spill_dir);
     if (enabled.ok()) {
       SpillConfig config;
@@ -303,8 +345,8 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
     assert(enabled.ok() && "spill setup failed");
     (void)enabled;
     InstallSpillPressureHandler();
+    CopyFacts(input, &instance_);
   }
-  CopyFacts(input, &instance_);
   null_provenance_.assign(instance_.num_nulls(), kInvalidTerm);
   CompileRules();
 }
@@ -650,7 +692,8 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   }
 
   std::vector<SliceResult> results(slices.size());
-  StageAbort abort;
+  const uint64_t max_bytes = limits_.budget.max_memory_bytes;
+  StageAbort abort(max_bytes);
   std::function<bool()> periodic =
       MakePeriodicCheck(limits_, governor_, &abort);
   pool_->ParallelFor(slices.size(), [&](size_t i) {
@@ -658,12 +701,13 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
     std::span<const uint32_t> window;
     if (s.delta) window = windows[s.window];
     RunSlice(parts_[s.part].matcher, splits[s.part], s, window,
-             /*keep=*/{}, periodic, abort, &results[i]);
+             /*keep=*/{}, periodic, &abort, &results[i]);
   });
   if (abort.Requested()) {
-    // Time-based abort (deadline/cancel): discard the staged round whole.
-    // Nothing was committed, so the instance is still the round-start
-    // instance — the same state a serial run stopping mid-round leaves.
+    // Deadline, cancellation or staged bytes: discard the staged round
+    // whole. Nothing was committed, so the instance is still the
+    // round-start instance — the same state a serial run stopping
+    // mid-round leaves.
     Halt(abort.Reason());
     return false;
   }
@@ -671,7 +715,9 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   // MERGE (serial, deterministic): charge each slice's staged work, then
   // process its triggers, in slice order — the order the serial engine
   // enumerates. Step/fact/depth budgets trip here at thread-count-
-  // independent points.
+  // independent points, and so does the memory budget on the staged rows
+  // plus the pending head values.
+  const uint64_t staged_bytes = abort.staged_bytes.load();
   for (size_t i = 0; i < slices.size(); ++i) {
     if (!governor_.PollN(results[i].steps)) {
       Halt(governor_.reason());
@@ -682,6 +728,13 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
     std::span<const Value> rows = results[i].values;
     for (size_t m = 0; m < results[i].matches; ++m) {
       if (!StageTrigger(part, rows.subspan(m * width, width))) return false;
+      if (max_bytes != 0 &&
+          staged_bytes + pending_values_.size() * sizeof(Value) +
+                  pending_triggers_.size() * sizeof(StagedTrigger) >
+              max_bytes) {
+        Halt(StopReason::kMemoryLimit);
+        return false;
+      }
     }
   }
   return true;
@@ -778,8 +831,8 @@ bool ChaseResult::WriteExplanation(const TermArena& arena,
 }
 
 ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
-                  const Instance& input, ChaseLimits limits) {
-  ChaseEngine engine(arena, vocab, rules, input, limits);
+                  Instance input, ChaseLimits limits) {
+  ChaseEngine engine(arena, vocab, rules, std::move(input), limits);
   engine.Run();
   ChaseResult result{engine.TakeInstance(), engine.stop_reason(),
                      engine.rounds(), engine.facts_created(), {}};
@@ -875,7 +928,7 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
     PushRowSlices(proto, 0, split.NumCandidates(), &slices);
   }
   std::vector<SliceResult> results(slices.size());
-  StageAbort abort;
+  StageAbort abort(limits_.budget.max_memory_bytes);
   std::function<bool()> periodic =
       MakePeriodicCheck(limits_, governor_, &abort);
   pool_->ParallelFor(slices.size(), [&](size_t i) {
@@ -890,7 +943,7 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
       return !head_matcher.Exists(seed);
     };
     RunSlice(body_matcher, split, slices[i], /*window=*/{}, keep, periodic,
-             abort, &results[i]);
+             &abort, &results[i]);
   });
   if (abort.Requested()) {
     Halt(abort.Reason());

@@ -114,10 +114,14 @@ struct ChaseEngineState {
 /// Round-by-round Skolem chase over one SO tgd (= rule set).
 class ChaseEngine {
  public:
-  /// `input` is copied; `arena` receives ground Skolem terms; `vocab` is
-  /// used for null provenance labels.
+  /// `arena` receives ground Skolem terms; `vocab` is used for null
+  /// provenance labels. An in-core engine owns `input`: it becomes the
+  /// engine's instance, so a caller that is done with its input moves it
+  /// in and nothing is copied. A spilled engine (`limits.spill_dir` set)
+  /// builds a fresh out-of-core store and copies `input` into it. Either
+  /// way the input's null labels are dropped: input nulls print as _N<i>.
   ChaseEngine(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
-              const Instance& input, ChaseLimits limits = {});
+              Instance input, ChaseLimits limits = {});
 
   /// Resumes from a state captured by CaptureState(). `arena` and `vocab`
   /// must hold exactly the contents they had at capture time (the
@@ -296,8 +300,9 @@ struct ChaseResult {
 };
 
 /// Convenience wrapper: chases `input` under `rules` to fixpoint or limit.
+/// Takes `input` as ChaseEngine does: move it in when done with it.
 ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
-                  const Instance& input, ChaseLimits limits = {});
+                  Instance input, ChaseLimits limits = {});
 
 /// The classical restricted (standard) chase for first-order tgds:
 /// chases `input` under `tgds` to fixpoint or limit, firing a trigger only

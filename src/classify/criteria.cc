@@ -72,7 +72,7 @@ CriticalInstanceReport TerminatesOnCriticalInstance(
     std::vector<Value> tuple(vocab->RelationArity(relation), star);
     critical.AddFact(relation, tuple);
   }
-  ChaseResult result = Chase(arena, vocab, so, critical, limits);
+  ChaseResult result = Chase(arena, vocab, so, std::move(critical), limits);
   CriticalInstanceReport report;
   report.terminated = result.Terminated();
   report.rounds = result.rounds;

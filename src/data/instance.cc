@@ -522,10 +522,7 @@ bool RowLess(const Value* a, const Value* b, uint32_t arity,
 
 std::string Instance::ValueToString(Value v) const {
   if (!v.valid()) return "<invalid>";
-  if (v.is_constant()) {
-    const std::string& name = vocab_->ConstantName(v.index());
-    return IsPlainConstantName(name) ? name : QuoteConstantName(name);
-  }
+  if (v.is_constant()) return ConstantToString(*vocab_, v.index());
   const std::string& label = null_labels_[v.index()];
   if (!label.empty()) return "_" + label;
   return NullIndexName(v.index());
@@ -606,6 +603,11 @@ void Instance::AppendExactText(RelationId relation, uint64_t begin,
     }
     *out += ")\n";
   }
+}
+
+std::string ConstantToString(const Vocabulary& vocab, ConstantId id) {
+  const std::string& name = vocab.ConstantName(id);
+  return IsPlainConstantName(name) ? name : QuoteConstantName(name);
 }
 
 void CopyFacts(const Instance& src, Instance* dst) {

@@ -339,8 +339,13 @@ class Instance {
   mutable std::unique_ptr<SpillState> spill_;
 };
 
-/// Copies all facts of `src` into `dst` (vocabularies must match).
+/// Copies all facts of `src` into `dst` (vocabularies must match). Null
+/// labels are not copied.
 void CopyFacts(const Instance& src, Instance* dst);
+
+/// Renders constant `id` as Instance::ValueToString does: bare when it
+/// reads back as a constant, quoted otherwise.
+std::string ConstantToString(const Vocabulary& vocab, ConstantId id);
 
 /// The two spellings of the fact language (docs/FORMAT.md, "Instances").
 /// Both read `Rel(arg, ...)` with IDENT relation names (a leading `_` is

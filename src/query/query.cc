@@ -39,11 +39,57 @@ bool EvaluateBoolean(const TermArena& arena, const Instance& instance,
   return matcher.Exists({});
 }
 
+SoTgd PartsReaching(const SoTgd& rules, std::span<const RelationId> targets) {
+  // Why the pruned chase answers as the full one does: the Skolem chase is
+  // monotone, and only a part that names a relation in its head derives
+  // facts in it. A kept part's body reads only kept relations, so every
+  // kept relation gets the same facts in the same round with or without
+  // the dropped parts. Skolem terms are functional, so the kept parts
+  // build the same terms either way, and body equalities compare terms,
+  // not relations. Only null numbering can differ, and certain answers are
+  // null-free; constant ids are fixed at parse time, so Evaluate's answer
+  // order does not change either.
+  std::unordered_map<RelationId, std::vector<uint32_t>> parts_by_head;
+  for (uint32_t p = 0; p < rules.parts.size(); ++p) {
+    for (const Atom& atom : rules.parts[p].head) {
+      std::vector<uint32_t>& parts = parts_by_head[atom.relation];
+      if (parts.empty() || parts.back() != p) parts.push_back(p);
+    }
+  }
+  std::unordered_set<RelationId> seen;
+  std::vector<RelationId> worklist;
+  auto reach = [&](RelationId rel) {
+    if (seen.insert(rel).second) worklist.push_back(rel);
+  };
+  for (RelationId rel : targets) reach(rel);
+  std::vector<bool> kept(rules.parts.size(), false);
+  while (!worklist.empty()) {
+    RelationId rel = worklist.back();
+    worklist.pop_back();
+    auto it = parts_by_head.find(rel);
+    if (it == parts_by_head.end()) continue;
+    for (uint32_t p : it->second) {
+      if (kept[p]) continue;
+      kept[p] = true;
+      for (const Atom& atom : rules.parts[p].body) reach(atom.relation);
+    }
+  }
+  SoTgd out;
+  out.functions = rules.functions;
+  for (uint32_t p = 0; p < rules.parts.size(); ++p) {
+    if (kept[p]) out.parts.push_back(rules.parts[p]);
+  }
+  return out;
+}
+
 CertainAnswers ComputeCertainAnswers(TermArena* arena, Vocabulary* vocab,
-                                     const SoTgd& rules, const Instance& input,
+                                     const SoTgd& rules, Instance input,
                                      const ConjunctiveQuery& q,
                                      ChaseLimits limits) {
-  ChaseResult chased = Chase(arena, vocab, rules, input, limits);
+  std::vector<RelationId> targets;
+  for (const Atom& atom : q.atoms) targets.push_back(atom.relation);
+  ChaseResult chased = Chase(arena, vocab, PartsReaching(rules, targets),
+                             std::move(input), limits);
   CertainAnswers out;
   out.chase_stop = chased.stop_reason;
   out.chase_rounds = chased.rounds;
@@ -61,7 +107,9 @@ bool CertainlyHolds(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
                     ChaseLimits limits) {
   // Chase round-by-round and stop as soon as the goal appears: the chase
   // is a semi-decision procedure for the undecidable cases of Section 5.
-  ChaseEngine engine(arena, vocab, rules, input, limits);
+  const RelationId target[] = {goal.relation};
+  ChaseEngine engine(arena, vocab, PartsReaching(rules, target), input,
+                     limits);
   if (engine.instance().Contains(goal.relation, goal.args)) return true;
   while (engine.Step()) {
     if (engine.instance().Contains(goal.relation, goal.args)) return true;
@@ -148,7 +196,8 @@ ImplicationResult ImpliesTgd(TermArena* arena, Vocabulary* vocab,
   std::unordered_set<VariableId> frozen(universals.begin(),
                                         universals.end());
   Instance canonical = FreezeAtoms(arena, vocab, sigma.body, frozen);
-  ChaseResult chased = Chase(arena, vocab, rules, canonical, limits);
+  ChaseResult chased =
+      Chase(arena, vocab, rules, std::move(canonical), limits);
   // σ is implied iff the frozen head is satisfiable in the chase result.
   std::vector<Atom> frozen_head =
       FreezeFreeVariables(arena, vocab, sigma.head, frozen);

@@ -5,6 +5,7 @@
 // (e.g. under weak acyclicity).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "chase/chase.h"
@@ -46,16 +47,27 @@ struct CertainAnswers {
   bool Complete() const { return chase_stop == ChaseStop::kFixpoint; }
 };
 
+/// The parts of `rules` that can derive a fact in one of `targets`: a part
+/// is kept when one of its head relations is a target, and the body
+/// relations of a kept part become targets too, until nothing new is
+/// added. Kept parts stay in their original order (part order fixes the
+/// chase's trigger order); `functions` is kept whole.
+SoTgd PartsReaching(const SoTgd& rules, std::span<const RelationId> targets);
+
 /// Computes certain answers to `q` over `input` under the dependencies
-/// `rules` by chasing and filtering null-free tuples.
+/// `rules` by chasing and filtering null-free tuples. Only the parts that
+/// reach a query relation (PartsReaching) are chased, so the round count
+/// and the stop are those of that smaller chase; the answers are the full
+/// chase's whenever both reach a fixpoint.
 CertainAnswers ComputeCertainAnswers(TermArena* arena, Vocabulary* vocab,
-                                     const SoTgd& rules, const Instance& input,
+                                     const SoTgd& rules, Instance input,
                                      const ConjunctiveQuery& q,
                                      ChaseLimits limits = {});
 
 /// Atomic Boolean certain-answer check: is `goal` (a ground fact) certain?
 /// This is the query-answering problem of Theorems 5.1/5.2 specialized to
-/// the goal facts used in the PCP encodings.
+/// the goal facts used in the PCP encodings. Chases only the parts that
+/// reach the goal's relation.
 bool CertainlyHolds(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
                     const Instance& input, const Fact& goal,
                     ChaseLimits limits = {});

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "analyze/analysis.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "classify/dot.h"
 #include "dep/skolem.h"
 #include "gen/generators.h"
@@ -569,6 +572,118 @@ TEST_P(AnalyzeDifferentialTest, WeakAcyclicityAndRankMatchNaiveReferences) {
     }
     EXPECT_EQ(analysis.complexity.rank, rank) << "program " << program;
   }
+}
+
+/// Reference affected fixpoint: passes over every rule, in (rule,
+/// variable) order, until nothing changes, each new position citing the
+/// pair that first reached it.
+AffectedAnalysis PassByPassAffected(const TermArena& arena,
+                                    const std::vector<AnalyzedRule>& rules) {
+  AffectedAnalysis out;
+  for (uint32_t r = 0; r < rules.size(); ++r) {
+    const std::vector<Atom>& head = rules[r].part.head;
+    for (uint32_t a = 0; a < head.size(); ++a) {
+      for (uint32_t i = 0; i < head[a].args.size(); ++i) {
+        Position p{head[a].relation, i};
+        if (arena.IsFunction(head[a].args[i]) &&
+            out.affected.insert(p).second) {
+          out.reasons[p] = {AffectedReason::Kind::kFunctionalHead, r, a, i,
+                            0};
+        }
+      }
+    }
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (uint32_t r = 0; r < rules.size(); ++r) {
+      const SoPart& part = rules[r].part;
+      std::map<VariableId, std::set<Position>> positions;
+      for (const Atom& atom : part.body) {
+        for (uint32_t i = 0; i < atom.args.size(); ++i) {
+          if (arena.IsVariable(atom.args[i])) {
+            positions[arena.symbol(atom.args[i])].insert({atom.relation, i});
+          }
+        }
+      }
+      for (const auto& [var, at] : positions) {
+        if (!std::includes(out.affected.begin(), out.affected.end(),
+                           at.begin(), at.end())) {
+          continue;
+        }
+        for (uint32_t a = 0; a < part.head.size(); ++a) {
+          const Atom& atom = part.head[a];
+          for (uint32_t i = 0; i < atom.args.size(); ++i) {
+            if (!arena.IsVariable(atom.args[i]) ||
+                arena.symbol(atom.args[i]) != var) {
+              continue;
+            }
+            Position p{atom.relation, i};
+            if (out.affected.insert(p).second) {
+              out.reasons[p] = {AffectedReason::Kind::kPropagated, r, a, i,
+                                var};
+              changed = true;
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameAffected(const AffectedAnalysis& got,
+                        const AffectedAnalysis& want, const std::string& at) {
+  EXPECT_EQ(got.affected, want.affected) << at;
+  ASSERT_EQ(got.reasons.size(), want.reasons.size()) << at;
+  for (const auto& [p, reason] : want.reasons) {
+    const AffectedReason& r = got.reasons.at(p);
+    EXPECT_EQ(r.kind, reason.kind) << at;
+    EXPECT_EQ(r.rule, reason.rule) << at;
+    EXPECT_EQ(r.head_atom, reason.head_atom) << at;
+    EXPECT_EQ(r.head_arg, reason.head_arg) << at;
+    EXPECT_EQ(r.var, reason.var) << at;
+  }
+}
+
+TEST_P(AnalyzeDifferentialTest, AffectedReasonsMatchPassByPassReference) {
+  // The worklist must record the derivation passes over the rules record,
+  // in the generated rule order and in reverse, where propagation runs
+  // against the rule order.
+  TestWorkspace ws;
+  Rng rng(GetParam() * 89 + 17);
+  std::vector<RelationId> relations =
+      GenerateSchema(&ws.vocab, &rng, SchemaConfig{});
+  for (int program = 0; program < 8; ++program) {
+    std::vector<Tgd> tgds;
+    for (int i = 0; i < 5; ++i) {
+      tgds.push_back(
+          GenerateTgd(&ws.arena, &ws.vocab, &rng, relations, TgdConfig{}));
+    }
+    for (bool reverse : {false, true}) {
+      if (reverse) std::reverse(tgds.begin(), tgds.end());
+      ProgramAnalysis analysis =
+          AnalyzeSo(ws.arena, TgdsToSo(&ws.arena, &ws.vocab, tgds));
+      ExpectSameAffected(analysis.affected,
+                         PassByPassAffected(ws.arena, analysis.rules),
+                         Cat("program ", program, reverse ? " reversed" : ""));
+    }
+  }
+}
+
+TEST_F(AnalyzeTest, AffectedChainAgainstTheRuleOrderMatchesTheReference) {
+  // Copy rules listed against the propagation order: a pass-by-pass
+  // fixpoint needs one pass per link.
+  std::string text = "seed: S(x) -> exists z . R0(z) .\n";
+  for (int k = 63; k >= 0; --k) {
+    text += Cat("c", k, ": R", k, "(x) -> R", k + 1, "(x) .\n");
+  }
+  ProgramAnalysis a = Analyze(text);
+  EXPECT_EQ(a.affected.affected.size(), 65u);
+  ExpectSameAffected(a.affected, PassByPassAffected(ws_.arena, a.rules),
+                     "reverse chain");
+  EXPECT_NE(ExplainAffected(ws_.vocab, a, Pos("R64", 0))
+                .find("receives a functional term"),
+            std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzeDifferentialTest,

@@ -14,7 +14,9 @@
 #include <sstream>
 #include <thread>
 
+#include "analyze/analysis.h"
 #include "base/budget.h"
+#include "base/strings.h"
 #include "chase/chase.h"
 #include "cli/cli.h"
 #include "dep/skolem.h"
@@ -216,6 +218,135 @@ TEST_F(BudgetedChaseTest, MemoryBudgetStopsTheForeverChase) {
                              limits);
   EXPECT_EQ(result.stop_reason, StopReason::kMemoryLimit);
   EXPECT_GE(result.budget_bytes, 256u * 1024u);
+}
+
+/// A program whose rounds stage a three-way cross product: by round 7
+/// one round's matches run to hundreds of megabytes while the instance
+/// holds a few hundred facts.
+SoTgd CrossProductRules(TestWorkspace* ws) {
+  Parser parser(&ws->arena, &ws->vocab);
+  Result<DependencyProgram> program = parser.ParseDependencies(
+      "s0: R0(x0) -> exists e0 . R1(e0) & R0(e0) .\n"
+      "s1: R1(x2) -> exists e0, e1 . R1(e0) & R0(x2) .\n"
+      "s2: so exists f0 { R1(x3) & R0(x1) & R1(x2) -> "
+      "R1(f0(x3)) & R1(x2) } .\n"
+      "s3: R0(x0) & R1(x3) -> R0(x3) .\n");
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  return SkolemizeProgram(&ws->arena, &ws->vocab, *program);
+}
+
+TEST_F(BudgetedChaseTest, MemoryBudgetBoundsARoundsStaging) {
+  // The memory budget is checked against the round's staged rows and
+  // pending heads, so the run stops by memory-limit at the same point
+  // whatever the lane count: the round is discarded whole.
+  std::string first;
+  for (uint32_t threads : {1u, 4u}) {
+    TestWorkspace ws;
+    SoTgd rules = CrossProductRules(&ws);
+    Instance input(&ws.vocab);
+    input.AddFact(ws.Fc("R0", {"a"}));
+    input.AddFact(ws.Fc("R1", {"a"}));
+    ChaseLimits limits;
+    limits.max_facts = 3000;
+    limits.max_term_depth = 32;
+    limits.budget.max_memory_bytes = 16 << 20;
+    limits.threads = threads;
+    ChaseResult result =
+        Chase(&ws.arena, &ws.vocab, rules, std::move(input), limits);
+    EXPECT_EQ(result.stop_reason, StopReason::kMemoryLimit);
+    // The instance itself stays far below the budget.
+    EXPECT_LT(result.budget_bytes, 4u << 20);
+    std::string outcome = Cat(result.rounds, " ", result.facts_created, " ",
+                              result.budget_steps, "\n",
+                              result.instance.ToString());
+    if (first.empty()) {
+      first = outcome;
+    } else {
+      EXPECT_EQ(outcome, first) << "threads " << threads;
+    }
+  }
+}
+
+TEST_F(BudgetedChaseTest, MemoryBudgetBoundsARoundsPendingHeads) {
+  // One value staged per match, 128 head values per trigger: the round's
+  // matches fit the budget and its pending heads do not, so the merge
+  // stops the round before anything commits.
+  std::string head;
+  for (int a = 0; a < 4; ++a) {
+    head += Cat(a == 0 ? "" : " & ", "W", a, "(x");
+    for (int i = 1; i < 32; ++i) head += ", x";
+    head += ")";
+  }
+  Parser parser(&ws_.arena, &ws_.vocab);
+  Result<DependencyProgram> program =
+      parser.ParseDependencies("wide: P(x) -> " + head + " .\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  SoTgd rules = SkolemizeProgram(&ws_.arena, &ws_.vocab, *program);
+  Instance input(&ws_.vocab);
+  for (int i = 0; i < 2000; ++i) {
+    input.AddFact(ws_.Fc("P", {Cat("p", i)}));
+  }
+  const size_t input_facts = input.NumFacts();
+  ChaseLimits limits;
+  limits.budget.max_memory_bytes = 768 << 10;
+  ChaseResult result =
+      Chase(&ws_.arena, &ws_.vocab, rules, std::move(input), limits);
+  EXPECT_EQ(result.stop_reason, StopReason::kMemoryLimit);
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_EQ(result.facts_created, 0u);
+  EXPECT_EQ(result.instance.NumFacts(), input_facts);
+}
+
+TEST_F(BudgetedChaseTest, MemoryBudgetCountsEverySlicesRows) {
+  // Each P row joins the 30 Q rows of its key, so a slice of 64 P rows
+  // stages 53,760 bytes, less than one charge chunk: the round's rows
+  // (840,000 bytes) pass the budget only summed over the slices, and its
+  // pending heads (600,000 bytes) alone do not.
+  Parser parser(&ws_.arena, &ws_.vocab);
+  Result<DependencyProgram> program = parser.ParseDependencies(
+      "pair: P(k, i, c1, c2, c3, c4) & Q(k, y) -> H(i) .\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  SoTgd rules = SkolemizeProgram(&ws_.arena, &ws_.vocab, *program);
+  Instance input(&ws_.vocab);
+  for (int i = 0; i < 1000; ++i) {
+    input.AddFact(ws_.Fc("P", {Cat("k", i / 20), Cat("i", i), "c", "c", "c",
+                               "c"}));
+  }
+  for (int i = 0; i < 1500; ++i) {
+    input.AddFact(ws_.Fc("Q", {Cat("k", i / 30), Cat("y", i)}));
+  }
+  ChaseLimits limits;
+  limits.budget.max_memory_bytes = 700 << 10;
+  ASSERT_LT(input.ApproxBytes(), limits.budget.max_memory_bytes);
+  ChaseResult result =
+      Chase(&ws_.arena, &ws_.vocab, rules, std::move(input), limits);
+  EXPECT_EQ(result.stop_reason, StopReason::kMemoryLimit);
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_EQ(result.facts_created, 0u);
+}
+
+TEST_F(BudgetedChaseTest, StagingUnderTheMemoryBudgetChangesNothing) {
+  // The same program stopped by the fact cap before any round stages
+  // much: with and without a memory budget, the same run step for step.
+  std::string outcomes[2];
+  for (int budgeted = 0; budgeted < 2; ++budgeted) {
+    TestWorkspace ws;
+    SoTgd rules = CrossProductRules(&ws);
+    Instance input(&ws.vocab);
+    input.AddFact(ws.Fc("R0", {"a"}));
+    input.AddFact(ws.Fc("R1", {"a"}));
+    ChaseLimits limits;
+    limits.max_facts = 100;
+    limits.max_term_depth = 32;
+    if (budgeted) limits.budget.max_memory_bytes = 64 << 20;
+    ChaseResult result =
+        Chase(&ws.arena, &ws.vocab, rules, std::move(input), limits);
+    EXPECT_EQ(result.stop_reason, StopReason::kFactLimit);
+    outcomes[budgeted] = Cat(result.rounds, " ", result.facts_created, " ",
+                             result.budget_steps, "\n",
+                             result.instance.ToString());
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
 }
 
 TEST_F(BudgetedChaseTest, PreCancelledBudgetStopsImmediately) {

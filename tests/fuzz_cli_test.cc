@@ -202,5 +202,31 @@ TEST_F(AutoBudgetTest, CertainAndExplainEchoTheBudgetToo) {
       << explain.out;
 }
 
+TEST_F(AutoBudgetTest, CertainTakesItsTierFromTheQueryParts) {
+  // university.tgd plus a divergent successor rule the query cannot
+  // reach: chased whole, the program is exponential and stops by depth;
+  // pruned to the query's parts it is polynomial and completes.
+  auto read = [](const std::string& name) {
+    std::ifstream in(std::string(TGDKIT_SOURCE_DIR) + "/corpus/" + name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  std::string rules = WriteFile(
+      "div.tgd", read("university.tgd") +
+                     "succ: N(x) -> exists y . N(y) & E(x, y) .\n");
+  std::string inst =
+      WriteFile("div.facts", read("university.facts") + "N(a) .\n");
+  CliRun run = RunTool(
+      {"certain", rules, inst, "ans(s) :- Attends(s).", "--auto-budget"});
+  EXPECT_EQ(run.code, 0) << run.out << run.err;
+  EXPECT_EQ(run.out.rfind("# complete (chase 3 rounds)\n", 0), 0u)
+      << run.out;
+  EXPECT_NE(run.out.find("auto_budget=polynomial"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("\nada\nbob\neve\n"), std::string::npos)
+      << run.out;
+}
+
 }  // namespace
 }  // namespace tgdkit
