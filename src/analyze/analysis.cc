@@ -178,25 +178,17 @@ AffectedAnalysis BuildAffected(const TermArena& arena,
   // A (rule, variable) pair fires once every body position of its variable
   // is affected: each pair counts its unaffected positions, and each
   // position lists the pairs waiting on it, so a position is visited once.
-  // Pairs fire in the order passes over the rules in (rule, variable)
-  // order would fire them: a pair made ready by a pair before it fires in
-  // the same pass, any other in the next. So every position records the
-  // reason a pass-by-pass fixpoint records.
   struct Pair {
     uint32_t rule;
     VariableId var;
     const BodyVar* v;
   };
-  std::vector<Pair> pairs;  // in (rule, variable) order
+  std::vector<Pair> pairs;
   std::vector<size_t> unaffected;
   std::map<Position, std::vector<uint32_t>> waiting;
-  std::set<std::pair<uint64_t, uint32_t>> ready;  // (pass, pair)
+  std::vector<uint32_t> ready;
   for (uint32_t r = 0; r < rules.size(); ++r) {
     for (const auto& [var, v] : tables[r]) {
-      if (std::all_of(v.head.begin(), v.head.end(),
-                      [](const HeadSlot& slot) { return slot.special; })) {
-        continue;  // affects nothing
-      }
       uint32_t index = static_cast<uint32_t>(pairs.size());
       pairs.push_back({r, var, &v});
       size_t count = 0;
@@ -206,13 +198,12 @@ AffectedAnalysis BuildAffected(const TermArena& arena,
         waiting[p].push_back(index);
       }
       unaffected.push_back(count);
-      if (count == 0) ready.emplace(1, index);
+      if (count == 0) ready.push_back(index);
     }
   }
   while (!ready.empty()) {
-    auto [pass, index] = *ready.begin();
-    ready.erase(ready.begin());
-    const Pair& pair = pairs[index];
+    const Pair& pair = pairs[ready.back()];
+    ready.pop_back();
     const SoPart& part = rules[pair.rule].part;
     for (const HeadSlot& slot : pair.v->head) {
       if (slot.special) continue;
@@ -223,7 +214,7 @@ AffectedAnalysis BuildAffected(const TermArena& arena,
       auto it = waiting.find(p);
       if (it == waiting.end()) continue;
       for (uint32_t w : it->second) {
-        if (--unaffected[w] == 0) ready.emplace(w > index ? pass : pass + 1, w);
+        if (--unaffected[w] == 0) ready.push_back(w);
       }
     }
   }

@@ -34,10 +34,10 @@ constexpr uint64_t kStageChargeBytes = 64 * 1024;
 /// of stop abort staging from inside a worker, and the round is then
 /// discarded whole, no steps charged:
 ///  * the time-based ones (deadline, cancellation);
-///  * a memory budget on the round's staged rows. Every slice adds all it
-///    stages to one total, so the budget trips iff the whole round would
-///    stage more than it allows. That depends only on the slice geometry,
-///    so this stop is the same at every thread count.
+///  * an in-core engine's memory budget on the round's staged rows. Every
+///    slice adds all it stages to one total, so the budget trips iff the
+///    whole round would stage more than it allows. That depends only on
+///    the slice geometry, so this stop is the same at every thread count.
 /// The other budgets (steps, the arena's and the instance's bytes,
 /// structural caps) are enforced solely at the serial merge so their trip
 /// points cannot depend on scheduling.
@@ -692,7 +692,11 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   }
 
   std::vector<SliceResult> results(slices.size());
-  const uint64_t max_bytes = limits_.budget.max_memory_bytes;
+  // A spilled engine must finish on an instance many times its memory
+  // budget, and a full-scan round stages every row it matches, so only an
+  // in-core engine bounds a round's staging.
+  const uint64_t max_bytes =
+      limits_.spill_dir.empty() ? limits_.budget.max_memory_bytes : 0;
   StageAbort abort(max_bytes);
   std::function<bool()> periodic =
       MakePeriodicCheck(limits_, governor_, &abort);
@@ -715,8 +719,8 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   // MERGE (serial, deterministic): charge each slice's staged work, then
   // process its triggers, in slice order — the order the serial engine
   // enumerates. Step/fact/depth budgets trip here at thread-count-
-  // independent points, and so does the memory budget on the staged rows
-  // plus the pending head values.
+  // independent points, and so does an in-core memory budget on the
+  // staged rows plus the pending head values.
   const uint64_t staged_bytes = abort.staged_bytes.load();
   for (size_t i = 0; i < slices.size(); ++i) {
     if (!governor_.PollN(results[i].steps)) {

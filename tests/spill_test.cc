@@ -125,6 +125,26 @@ TEST_F(SpillTest, SpilledOutputIsThreadCountInvariant) {
   EXPECT_EQ(StripThreadsField(one), StripThreadsField(four));
 }
 
+/// Writes one projection rule over a wide relation `Big` and `rows` facts
+/// of it. Column c holds digit c of the row number base 64: rows are
+/// pairwise distinct over a 64-constant vocabulary, so the payload, not
+/// the symbol table, carries the bytes.
+void WriteWideProgram(const std::string& rules_path,
+                      const std::string& inst_path, int rows) {
+  std::ofstream(rules_path)
+      << "Big(x1, x2, x3, x4, x5, x6, x7, x8) -> Want(x1) .\n";
+  std::ofstream inst(inst_path);
+  for (int row = 0; row < rows; ++row) {
+    inst << "Big(";
+    int x = row;
+    for (int col = 0; col < 8; ++col) {
+      inst << (col ? ", " : "") << "v" << (x % 64);
+      x /= 64;
+    }
+    inst << ") .\n";
+  }
+}
+
 TEST_F(SpillTest, OversizedInstanceNeedsSpillToComplete) {
   // ~20000 wide rows: far past a 1 MiB budget in-core (rows + per-position
   // postings + dedup index), but the spill backend's resident summaries
@@ -132,23 +152,7 @@ TEST_F(SpillTest, OversizedInstanceNeedsSpillToComplete) {
   // chase busy over the big relation without growing it.
   std::string big_rules = dir_ + "/big.tgd";
   std::string big_inst = dir_ + "/big.inst";
-  std::ofstream(big_rules)
-      << "Big(x1, x2, x3, x4, x5, x6, x7, x8) -> Want(x1) .\n";
-  {
-    // Column c holds digit c of `row` base 64: rows are pairwise distinct
-    // (they spell the row number) over a 64-constant vocabulary, so the
-    // payload, not the symbol table, carries the bytes.
-    std::ofstream inst(big_inst);
-    for (int row = 0; row < 20000; ++row) {
-      inst << "Big(";
-      int x = row;
-      for (int col = 0; col < 8; ++col) {
-        inst << (col ? ", " : "") << "v" << (x % 64);
-        x /= 64;
-      }
-      inst << ") .\n";
-    }
-  }
+  WriteWideProgram(big_rules, big_inst, 20000);
 
   auto [incore_code, incore_out] =
       Run({"chase", big_rules, big_inst, "--max-memory-mb", "1"});
@@ -164,6 +168,29 @@ TEST_F(SpillTest, OversizedInstanceNeedsSpillToComplete) {
       << "spilled run should complete under the same budget: " << last_err_;
 
   // And the completed spilled result matches the unconstrained run.
+  auto [free_code, free_out] = Run({"chase", big_rules, big_inst});
+  ASSERT_EQ(free_code, 0) << last_err_;
+  EXPECT_EQ(StripSpillFields(spill_out), free_out);
+}
+
+TEST_F(SpillTest, SpilledRoundMayStageMoreThanTheBudget) {
+  // The first round matches all 60000 rows: 1.9 MB of staged rows, then
+  // 1.2 MB of pending head values and trigger records, each alone past
+  // the 1 MiB budget. An in-core engine stops that round with
+  // memory-limit; a spilled one must still finish it.
+  std::string big_rules = dir_ + "/big.tgd";
+  std::string big_inst = dir_ + "/big.inst";
+  WriteWideProgram(big_rules, big_inst, 60000);
+
+  auto [incore_code, incore_out] =
+      Run({"chase", big_rules, big_inst, "--max-memory-mb", "1"});
+  EXPECT_EQ(incore_code, kExitResource);
+  EXPECT_NE(incore_out.find("stopped by memory-limit"), std::string::npos);
+
+  auto [spill_code, spill_out] = Run({"chase", big_rules, big_inst,
+                                      "--max-memory-mb", "1", "--spill-dir",
+                                      spill_dir_, "--spill-segment-kb", "64"});
+  ASSERT_EQ(spill_code, 0) << last_err_;
   auto [free_code, free_out] = Run({"chase", big_rules, big_inst});
   ASSERT_EQ(free_code, 0) << last_err_;
   EXPECT_EQ(StripSpillFields(spill_out), free_out);
