@@ -2,8 +2,8 @@
 // candidate slices, fanned across a thread pool with a deterministic
 // merge (docs/PARALLELISM.md). Prints the determinism spot-check (the
 // 4-lane run must be byte-identical to the serial run), then benchmarks
-// the chase engines at 1 and 4 lanes plus the matcher micro-kernel the
-// rounds are built from. CI gates on these timings via
+// the Skolem chase at 1 and 4 lanes, the serial restricted chase, and the
+// matcher micro-kernel the rounds are built from. CI gates on these timings via
 // tools/bench_gate.py (BENCH_chase.json).
 #include <benchmark/benchmark.h>
 
@@ -154,14 +154,12 @@ void BM_ChaseRestricted(benchmark::State& state) {
     Workspace ws;
     std::vector<Tgd> tgds = ClosureRules(&ws);
     Instance input = PathInstance(&ws, 72);
-    ChaseLimits limits;
-    limits.threads = static_cast<uint32_t>(state.range(0));
-    ChaseResult result =
-        RestrictedChaseTgds(&ws.arena, &ws.vocab, tgds, input, limits);
+    ChaseResult result = RestrictedChaseTgds(&ws.arena, tgds, input);
     benchmark::DoNotOptimize(result.facts_created);
   }
 }
-BENCHMARK(BM_ChaseRestricted)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+// The restricted chase runs serially; Arg(1) keeps the gated row's name.
+BENCHMARK(BM_ChaseRestricted)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_MatcherTriangleJoin(benchmark::State& state) {
   // The micro-kernel under every round: a three-way join through the

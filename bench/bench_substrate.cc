@@ -199,8 +199,7 @@ void BM_RestrictedVsSkolemChase(benchmark::State& state) {
       input.AddFact(p, args);
     }
     if (restricted) {
-      benchmark::DoNotOptimize(
-          RestrictedChaseTgds(&ws.arena, &ws.vocab, tgds, input));
+      benchmark::DoNotOptimize(RestrictedChaseTgds(&ws.arena, tgds, input));
     } else {
       SoTgd so = TgdsToSo(&ws.arena, &ws.vocab, tgds);
       benchmark::DoNotOptimize(Chase(&ws.arena, &ws.vocab, so, input));

@@ -1,11 +1,11 @@
 #include "analyze/lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <tuple>
 
 #include "base/strings.h"
+#include "supervise/jsonl.h"
 
 namespace tgdkit {
 
@@ -347,40 +347,6 @@ std::string RenderLintText(const std::string& file, const LintReport& report) {
   }
   return out;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string RenderLintJson(const std::string& file, const LintReport& report) {
   std::string out = Cat("{\"file\": \"", JsonEscape(file),

@@ -85,7 +85,9 @@ constexpr const char* kUsage =
     "                       threads); output is byte-identical for every\n"
     "                       N (see docs/PARALLELISM.md)\n"
     "chase checkpointing (see docs/CHECKPOINTS.md):\n"
-    "         --checkpoint PATH            write crash-safe snapshots\n"
+    "         --checkpoint PATH            write crash-safe snapshots;\n"
+    "                                      with no cadence flag, one every\n"
+    "                                      1024 governor steps\n"
     "         --checkpoint-every-steps N   snapshot cadence (steps)\n"
     "         --checkpoint-every-ms N      snapshot cadence (wall clock)\n"
     "         --resume PATH                continue from a snapshot\n"

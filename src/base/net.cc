@@ -118,22 +118,6 @@ Result<int> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-Result<int> ConnectTcpLocal(uint16_t port) {
-  Result<int> fd = NewSocket(AF_INET);
-  if (!fd.ok()) return fd;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (connect(*fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    int saved = errno;
-    close(*fd);
-    errno = saved;
-    return Errno("connect");
-  }
-  return fd;
-}
-
 Status SetNonBlocking(int fd, bool nonblocking) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0) return Errno("fcntl(F_GETFL)");

@@ -31,7 +31,6 @@ Result<int> ListenTcpLocal(uint16_t port, int backlog,
 Result<int> AcceptConnection(int listen_fd);
 
 Result<int> ConnectUnix(const std::string& path);
-Result<int> ConnectTcpLocal(uint16_t port);
 
 /// O_NONBLOCK on/off.
 Status SetNonBlocking(int fd, bool nonblocking);

@@ -99,7 +99,7 @@ std::function<bool()> MakePeriodicCheck(const ChaseLimits& limits,
 /// (full evaluation) or of one pivot's delta rows (semi-naive), or a
 /// whole un-shardable search (query with no atoms).
 struct MatchSlice {
-  uint32_t part = 0;  // rule part / tgd index
+  uint32_t part = 0;  // rule part index
   int root_atom = -1;  // -1: whole search
   bool delta = false;  // rows [begin, end) are row ids, not candidate indexes
   size_t window = 0;   // semi-naive: index of the pivot's row windows
@@ -130,14 +130,12 @@ void PushRowSlices(const MatchSlice& proto, size_t begin, size_t end,
 }
 
 /// Stages one slice: read-only matching against the round-frozen instance
-/// into `out`, under the row windows `window` (empty = none). `keep`
-/// (restricted chase) drops matches whose head already holds. Every staged
+/// into `out`, under the row windows `window` (empty = none). Every staged
 /// byte is charged to `abort`, a chunk at a time. Runs concurrently with
 /// itself on other slices — everything it touches is immutable, per-slice,
 /// or atomic.
 void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
               const MatchSlice& slice, std::span<const uint32_t> window,
-              const Matcher::Callback& keep,
               const std::function<bool()>& periodic, StageAbort* abort,
               SliceResult* out) {
   if (!periodic()) return;
@@ -147,14 +145,12 @@ void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
   controls.row_limits = window;
   uint64_t uncharged = 0;
   Matcher::Callback emit = [&](std::span<const Value> row) {
-    if (!keep || keep(row)) {
-      out->values.insert(out->values.end(), row.begin(), row.end());
-      ++out->matches;
-      uncharged += row.size_bytes();
-      if (uncharged >= kStageChargeBytes) {
-        abort->ChargeStaged(uncharged);
-        uncharged = 0;
-      }
+    out->values.insert(out->values.end(), row.begin(), row.end());
+    ++out->matches;
+    uncharged += row.size_bytes();
+    if (uncharged >= kStageChargeBytes) {
+      abort->ChargeStaged(uncharged);
+      uncharged = 0;
     }
     return !abort->Requested();
   };
@@ -178,9 +174,9 @@ size_t RowsIn(const std::unordered_map<RelationId, size_t>& counts,
   return it == counts.end() ? 0 : it->second;
 }
 
-/// Round/fact bookkeeping shared by ChaseEngine and RestrictedChaseTgds:
-/// both engines historically duplicated these checks; they now funnel
-/// through the governor so every stop carries one StopReason.
+/// Round/fact bookkeeping shared by ChaseEngine and RestrictedChaseTgds.
+/// Both record their stops through the governor, so every stop carries
+/// one StopReason.
 class ChaseGuard {
  public:
   ChaseGuard(const ChaseLimits& limits, ResourceGovernor* governor)
@@ -369,6 +365,8 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
       governor_(limits.budget),
       pool_(std::make_unique<ThreadPool>(ResolveThreads(limits.threads))),
       instance_(std::move(state.instance)) {
+  assert(state.live == nullptr &&
+         "a captured state points into its engine; resume from its snapshot");
   TermArena* arena_ptr = arena_;
   governor_.AddMemorySource([arena_ptr] { return arena_ptr->ApproxBytes(); });
   Instance* instance_ptr = &instance_;
@@ -412,47 +410,25 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
 
 ChaseEngineState ChaseEngine::CaptureState() const {
   ChaseEngineState state(&instance_.vocab());
+  // No copy of the instance: the snapshot writer reads the live one (a
+  // spilled store by segment references plus a text remainder, an
+  // in-core one as text).
+  state.live = &instance_;
   bool torn = rounds_ > 0 && !(done_ && stop_reason_ == ChaseStop::kFixpoint) &&
               InstanceGrewSinceRoundStart();
   uint64_t dropped_facts = 0;
-  if (instance_.spill_enabled()) {
-    // Spill mode: no deep copy of a mostly-on-disk store. The snapshot
-    // serializer flushes dirty segments and references the immutable
-    // segment files by name, rendering only the mutable remainder as
-    // text. A torn capture records the round-start row counts; the
-    // writer truncates to them (the redone round re-derives the rest).
-    state.spill_instance = &instance_;
-    if (torn) {
-      for (RelationId rel : instance_.ActiveRelations()) {
-        uint64_t keep = RowsIn(rows_before_current_round_, rel);
-        state.spill_keep_rows.emplace_back(rel, keep);
-        dropped_facts += instance_.NumTuples(rel) - keep;
-      }
-    }
-  } else if (!torn) {
-    state.instance = instance_;
-  } else {
+  if (torn) {
     // The current round has (partially) committed — e.g. the run halted
     // inside FlushPending, or the capture fired at the boundary right
     // after a flush. Replaying over those commits would enumerate extra
-    // triggers and break determinism, so roll the instance back to the
-    // round's start; the resumed engine redoes the round from scratch.
-    // The term-to-value memo and the allocated nulls are kept: the redo
-    // re-derives the same facts with the same nulls, in the same order.
-    state.instance.EnsureNulls(instance_.num_nulls());
-    for (uint32_t i = 0; i < instance_.num_nulls(); ++i) {
-      state.instance.SetNullLabel(i, instance_.NullLabel(i));
-    }
+    // triggers and break determinism, so the writer keeps only each
+    // relation's round-start rows; the resumed engine redoes the round
+    // from scratch. The term-to-value memo and the allocated nulls are
+    // kept: the redo re-derives the same facts with the same nulls, in
+    // the same order.
     for (RelationId rel : instance_.ActiveRelations()) {
-      size_t keep = RowsIn(rows_before_current_round_, rel);
-      for (size_t row = 0; row < keep; ++row) {
-        Fact f;
-        f.relation = rel;
-        std::span<const Value> tuple =
-            instance_.Tuple(rel, static_cast<uint32_t>(row));
-        f.args.assign(tuple.begin(), tuple.end());
-        state.instance.AddFact(f);
-      }
+      uint64_t keep = RowsIn(rows_before_current_round_, rel);
+      state.keep_rows.emplace_back(rel, keep);
       dropped_facts += instance_.NumTuples(rel) - keep;
     }
   }
@@ -481,17 +457,8 @@ ChaseEngineState ChaseEngine::CaptureState() const {
 void ChaseEngine::SetCheckpointHook(
     uint64_t every_steps, uint64_t every_ms,
     std::function<void(const ChaseEngine&)> hook) {
-  checkpoint_hook_ = std::move(hook);
-  governor_.SetCheckpointHook(every_steps, every_ms, [this] {
-    // During FlushPending the instance holds a half-committed round;
-    // capturing it would not replay deterministically. Defer to the
-    // round's end (a safe point by construction).
-    if (in_flush_) {
-      deferred_checkpoint_ = true;
-    } else {
-      checkpoint_hook_(*this);
-    }
-  });
+  governor_.SetCheckpointHook(every_steps, every_ms,
+                              [this, hook = std::move(hook)] { hook(*this); });
 }
 
 void ChaseEngine::Halt(StopReason reason) {
@@ -615,14 +582,12 @@ bool ChaseEngine::StageTrigger(uint32_t part_index,
 
 bool ChaseEngine::FlushPending() {
   ChaseGuard guard(limits_, &governor_);
-  in_flush_ = true;
   bool added = false;
   for (const StagedTrigger& trigger : pending_triggers_) {
     const CompiledPart& part = parts_[trigger.part];
     // Triggers commit atomically: either the whole head or nothing.
     if (!guard.CanCommit(instance_.NumFacts(), part.head_relations.size())) {
       Halt(governor_.reason());
-      in_flush_ = false;
       return added;
     }
     const Value* args = pending_values_.data() + trigger.begin;
@@ -635,7 +600,6 @@ bool ChaseEngine::FlushPending() {
       args += part.head_arities[i];
     }
   }
-  in_flush_ = false;
   return added;
 }
 
@@ -704,8 +668,8 @@ bool ChaseEngine::StageAndMergeRound(bool use_delta) {
     const MatchSlice& s = slices[i];
     std::span<const uint32_t> window;
     if (s.delta) window = windows[s.window];
-    RunSlice(parts_[s.part].matcher, splits[s.part], s, window,
-             /*keep=*/{}, periodic, &abort, &results[i]);
+    RunSlice(parts_[s.part].matcher, splits[s.part], s, window, periodic,
+             &abort, &results[i]);
   });
   if (abort.Requested()) {
     // Deadline, cancellation or staged bytes: discard the staged round
@@ -790,10 +754,6 @@ bool ChaseEngine::Step() {
   pending_triggers_.clear();
   if (!StageAndMergeRound(use_delta)) return false;
   bool any = FlushPending();
-  if (deferred_checkpoint_) {
-    deferred_checkpoint_ = false;
-    if (checkpoint_hook_) checkpoint_hook_(*this);
-  }
   if (done_) return false;
   if (replay) {
     // A replayed round re-fires triggers whose facts were committed before
@@ -853,6 +813,8 @@ ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
 namespace {
 
 /// The restricted chase behind RestrictedChaseTgds, one round per Step().
+/// A serial reference engine: each tgd enumerates its body under the
+/// engine's governor, then fires.
 class RestrictedChaseEngine {
  public:
   RestrictedChaseEngine(TermArena* arena, std::span<const Tgd> tgds,
@@ -872,13 +834,13 @@ class RestrictedChaseEngine {
   /// recorded a stop).
   bool Step();
   void Halt(StopReason reason);
-  /// Stages one tgd's body matches in parallel over fixed-geometry root
-  /// slices, filtering out triggers whose head is already satisfiable
-  /// (Exists is uncounted, as in serial evaluation), then appends the
-  /// surviving body rows (one value per body slot) to `active` in slice
-  /// order — the serial enumeration order — and counts them into
-  /// `num_active`. `head_seed` maps each head slot to the body slot that
-  /// binds it, or -1. Returns false when the round halted.
+  /// Enumerates one tgd's body matches against the current instance, one
+  /// governor step per probe, keeping those whose head is not already
+  /// satisfiable (Exists is uncounted): appends their body rows (one
+  /// value per body slot) to `active` and counts them into `num_active`.
+  /// `head_seed` maps each head slot to the body slot that binds it, or
+  /// -1. Staged rows past the memory budget stop the round with
+  /// kMemoryLimit. Returns false when the round halted.
   bool StageActive(const Matcher& body_matcher, const Matcher& head_matcher,
                    std::span<const int> head_seed, std::vector<Value>* active,
                    size_t* num_active);
@@ -887,7 +849,6 @@ class RestrictedChaseEngine {
   std::span<const Tgd> tgds_;
   const ChaseLimits& limits_;
   ResourceGovernor governor_;
-  std::unique_ptr<ThreadPool> pool_;
   Instance instance_;
   ChaseStop stop_reason_ = ChaseStop::kFixpoint;
   uint64_t rounds_ = 0;
@@ -902,7 +863,6 @@ RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
       tgds_(tgds),
       limits_(limits),
       governor_(limits.budget),
-      pool_(std::make_unique<ThreadPool>(ResolveThreads(limits.threads))),
       instance_(&input.vocab()) {
   TermArena* arena_ptr = arena_;
   governor_.AddMemorySource([arena_ptr] { return arena_ptr->ApproxBytes(); });
@@ -922,45 +882,29 @@ bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
                                         std::span<const int> head_seed,
                                         std::vector<Value>* active,
                                         size_t* num_active) {
-  Matcher::RootSplit split = body_matcher.PlanRoot({});
-  std::vector<MatchSlice> slices;
-  MatchSlice proto;
-  proto.root_atom = split.atom;
-  if (split.atom < 0) {
-    slices.push_back(proto);
-  } else {
-    PushRowSlices(proto, 0, split.NumCandidates(), &slices);
-  }
-  std::vector<SliceResult> results(slices.size());
-  StageAbort abort(limits_.budget.max_memory_bytes);
-  std::function<bool()> periodic =
-      MakePeriodicCheck(limits_, governor_, &abort);
-  pool_->ParallelFor(slices.size(), [&](size_t i) {
+  const uint64_t max_staged_bytes = limits_.budget.max_memory_bytes;
+  bool over_budget = false;
+  std::vector<Value> seed(head_seed.size());
+  body_matcher.ForEach({}, [&](std::span<const Value> row) {
     // Restricted chase: fire only when no extension to the existential
-    // variables satisfies the head already. The Exists filter runs in the
-    // worker (it is read-only and uncounted, as in serial evaluation).
-    std::vector<Value> seed(head_matcher.variables().size());
-    Matcher::Callback keep = [&](std::span<const Value> row) {
-      for (size_t k = 0; k < seed.size(); ++k) {
-        seed[k] = head_seed[k] < 0 ? Value() : row[head_seed[k]];
-      }
-      return !head_matcher.Exists(seed);
-    };
-    RunSlice(body_matcher, split, slices[i], /*window=*/{}, keep, periodic,
-             &abort, &results[i]);
+    // variables satisfies the head already.
+    for (size_t k = 0; k < seed.size(); ++k) {
+      seed[k] = head_seed[k] < 0 ? Value() : row[head_seed[k]];
+    }
+    if (head_matcher.Exists(seed)) return true;
+    active->insert(active->end(), row.begin(), row.end());
+    ++*num_active;
+    over_budget = max_staged_bytes != 0 &&
+                  active->size() * sizeof(Value) > max_staged_bytes;
+    return !over_budget;
   });
-  if (abort.Requested()) {
-    Halt(abort.Reason());
+  if (governor_.exhausted()) {
+    Halt(governor_.reason());
     return false;
   }
-  for (size_t i = 0; i < slices.size(); ++i) {
-    if (!governor_.PollN(results[i].steps)) {
-      Halt(governor_.reason());
-      return false;
-    }
-    active->insert(active->end(), results[i].values.begin(),
-                   results[i].values.end());
-    *num_active += results[i].matches;
+  if (over_budget) {
+    Halt(StopReason::kMemoryLimit);
+    return false;
   }
   return true;
 }
@@ -976,10 +920,10 @@ bool RestrictedChaseEngine::Step() {
   bool any = false;
   for (const Tgd& tgd : tgds_) {
     // The restricted chase commits inside the round (tgd k+1 must see tgd
-    // k's firings), so staging parallelizes per tgd: enumerate + filter
-    // this tgd's triggers against the current instance in parallel, then
-    // fire serially.
+    // k's firings): enumerate + filter this tgd's triggers against the
+    // current instance, then fire them.
     Matcher body_matcher(arena_, &j, tgd.body);
+    body_matcher.set_governor(&governor_);
     Matcher head_matcher(arena_, &j, tgd.head);
     const size_t width = body_matcher.variables().size();
     // Per head slot, the body slot binding it (-1: existential); per head
@@ -1059,10 +1003,8 @@ ChaseResult RestrictedChaseEngine::Run() {
 
 }  // namespace
 
-ChaseResult RestrictedChaseTgds(TermArena* arena, Vocabulary* vocab,
-                                std::span<const Tgd> tgds,
+ChaseResult RestrictedChaseTgds(TermArena* arena, std::span<const Tgd> tgds,
                                 const Instance& input, ChaseLimits limits) {
-  (void)vocab;
   RestrictedChaseEngine engine(arena, tgds, input, limits);
   return engine.Run();
 }

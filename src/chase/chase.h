@@ -13,7 +13,8 @@
 //
 //  * RestrictedChaseTgds — the classical standard chase for first-order
 //    tgds, which fires a trigger only when the head is not already
-//    satisfiable by extension. Used for comparison and ablations.
+//    satisfiable by extension. A serial reference engine, used for
+//    comparison and ablations.
 //
 // For weakly acyclic rule sets the chase terminates (Fagin et al. 2005;
 // the paper notes this lifts to SO tgds, Section 5). For the undecidable
@@ -52,11 +53,12 @@ struct ChaseLimits {
   /// One chase step = one trigger processed or one matcher row probed; a
   /// semi-naive delta row costs the one probe that binds the pivot to it.
   ExecutionBudget budget;
-  /// Execution lanes for round staging (1 = serial, 0 = one per hardware
-  /// thread). Any value produces byte-identical results — instance text,
-  /// stop reason, step counts and snapshots — because trigger matching is
-  /// staged over fixed-geometry slices whose results merge in a
-  /// deterministic order (see docs/PARALLELISM.md).
+  /// Execution lanes for the Skolem chase's round staging (1 = serial,
+  /// 0 = one per hardware thread). Any value produces byte-identical
+  /// results — instance text, stop reason, step counts and snapshots —
+  /// because trigger matching is staged over fixed-geometry slices whose
+  /// results merge in a deterministic order (see docs/PARALLELISM.md).
+  /// The restricted chase ignores it and always runs serially.
   uint32_t threads = 1;
   /// Out-of-core mode (docs/STORAGE.md): when non-empty, the engine's
   /// instance spills sealed fact segments into this directory and the
@@ -82,18 +84,18 @@ struct ChaseLimits {
 struct ChaseEngineState {
   explicit ChaseEngineState(const Vocabulary* vocab) : instance(vocab) {}
 
+  /// A loaded state's instance: the snapshot loader materializes it here
+  /// and the resume constructor takes it over. Empty in a captured state.
   Instance instance;
-  /// Spill mode capture: instead of deep-copying a mostly-on-disk store
-  /// into `instance`, CaptureState points at the live engine's instance
-  /// (sealed segment files are immutable, so the snapshot layer can
-  /// reference them by name after flushing dirty ones). Null for in-core
-  /// captures and for states restored from disk (the loader materializes
-  /// `instance` instead).
-  const Instance* spill_instance = nullptr;
-  /// Spill-mode torn-round rollback: per-relation row counts to keep
-  /// (round-start counts), in ActiveRelations order. Empty means keep
-  /// everything (the capture was at a round boundary).
-  std::vector<std::pair<RelationId, uint64_t>> spill_keep_rows;
+  /// A captured state's instance: CaptureState points at the live
+  /// engine's instance, in-core or spilled, instead of copying it. Null
+  /// for states restored from disk.
+  const Instance* live = nullptr;
+  /// Torn-round rollback: per-relation row counts to keep (round-start
+  /// counts), in ActiveRelations order. The snapshot writer renders only
+  /// rows [0, keep). Empty means keep everything (the capture was at a
+  /// round boundary).
+  std::vector<std::pair<RelationId, uint64_t>> keep_rows;
   /// Ground term -> value memo (term ids index the serialized arena).
   std::vector<std::pair<TermId, Value>> term_to_value;
   std::vector<TermId> null_provenance;
@@ -123,12 +125,13 @@ class ChaseEngine {
   ChaseEngine(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
               Instance input, ChaseLimits limits = {});
 
-  /// Resumes from a state captured by CaptureState(). `arena` and `vocab`
-  /// must hold exactly the contents they had at capture time (the
-  /// snapshot layer restores them alongside the state). A state whose
-  /// stop_reason is a resource stop is re-opened: the engine clears
-  /// done and continues (replaying the interrupted round) under the new
-  /// `limits`; a kFixpoint state stays complete.
+  /// Resumes from a state captured by CaptureState() and loaded back from
+  /// its snapshot (ParseChaseSnapshot). `arena` and `vocab` must hold
+  /// exactly the contents they had at capture time (the snapshot layer
+  /// restores them alongside the state). A state whose stop_reason is a
+  /// resource stop is re-opened: the engine clears done and continues
+  /// (replaying the interrupted round) under the new `limits`; a
+  /// kFixpoint state stays complete.
   ChaseEngine(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
               ChaseEngineState&& state, ChaseLimits limits = {});
 
@@ -165,9 +168,10 @@ class ChaseEngine {
   /// (kInvalidTerm for nulls already present in the input).
   TermId NullProvenance(uint32_t null_index) const;
 
-  /// Deep-copies the engine's resumable state. Safe to call at any
-  /// governor poll (see ChaseEngineState for the consistency model) and
-  /// after the run ended.
+  /// Captures the engine's resumable state. Safe to call at any governor
+  /// poll (see ChaseEngineState for the consistency model) and after the
+  /// run ended. The state points into the engine (`live`), so it must be
+  /// serialized before the engine steps again.
   ChaseEngineState CaptureState() const;
 
   /// Registers a periodic checkpoint hook on the engine's governor: every
@@ -215,7 +219,10 @@ class ChaseEngine {
   bool StageAndMergeRound(bool use_delta);
   /// Commits the round's staged triggers. The instance only mutates here:
   /// enumeration always sees the round-start instance, which is what
-  /// makes round replay (and therefore resume) deterministic.
+  /// makes round replay (and therefore resume) deterministic. Nothing in
+  /// the flush polls the governor (neither AddFact nor
+  /// ChaseGuard::CanCommit does), so the checkpoint hook, which runs only
+  /// from the governor's slow path, never sees a half-committed round.
   bool FlushPending();
   /// Records the first stop reason and marks the run done.
   void Halt(StopReason reason);
@@ -260,13 +267,6 @@ class ChaseEngine {
   /// that round compares row counts against the round-start windows
   /// instead of the replay's (deduplicated) insertions.
   bool replay_round_ = false;
-  /// Checkpoint safety: a capture taken while FlushPending is mutating
-  /// the instance would record a half-committed round, whose replay is
-  /// not deterministic. Hook firings that land inside the flush are
-  /// deferred to the round's end.
-  std::function<void(const ChaseEngine&)> checkpoint_hook_;
-  bool in_flush_ = false;
-  bool deferred_checkpoint_ = false;
 };
 
 struct ChaseResult {
@@ -308,10 +308,9 @@ ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
 /// chases `input` under `tgds` to fixpoint or limit, firing a trigger only
 /// if its head cannot be satisfied by any extension homomorphism; new
 /// nulls are fresh per firing. Non-deterministic in general; triggers are
-/// processed in a fixed order, so runs are reproducible. (`vocab` is
-/// unused but kept for signature symmetry with Chase.)
-ChaseResult RestrictedChaseTgds(TermArena* arena, Vocabulary* vocab,
-                                std::span<const Tgd> tgds,
+/// processed in a fixed order, so runs are reproducible. A reference
+/// engine: it runs serially whatever `limits.threads` says.
+ChaseResult RestrictedChaseTgds(TermArena* arena, std::span<const Tgd> tgds,
                                 const Instance& input, ChaseLimits limits = {});
 
 }  // namespace tgdkit

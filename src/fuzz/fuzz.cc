@@ -395,8 +395,8 @@ class BatteryRunner {
     ChaseResult skolem =
         Chase(&a.arena, &a.vocab, a.merged, a.input, CapsFor(options_));
     if (skolem.stop_reason != StopReason::kFixpoint) return true;
-    ChaseResult restricted = RestrictedChaseTgds(
-        &b.arena, &b.vocab, b.tgds, b.input, CapsFor(options_));
+    ChaseResult restricted =
+        RestrictedChaseTgds(&b.arena, b.tgds, b.input, CapsFor(options_));
     if (restricted.stop_reason != StopReason::kFixpoint) return true;
     std::string from_skolem = GroundAnswers(a, skolem.instance);
     std::string from_restricted = GroundAnswers(b, restricted.instance);

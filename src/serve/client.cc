@@ -23,12 +23,6 @@ Result<ServeClient> ServeClient::ConnectUnixSocket(const std::string& path) {
   return ServeClient(*fd);
 }
 
-Result<ServeClient> ServeClient::ConnectTcp(uint16_t port) {
-  Result<int> fd = ConnectTcpLocal(port);
-  if (!fd.ok()) return fd.status();
-  return ServeClient(*fd);
-}
-
 ServeClient::ServeClient(ServeClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       buffer_(std::move(other.buffer_)) {}

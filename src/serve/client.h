@@ -4,7 +4,6 @@
 // malformed and truncated frames.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "base/status.h"
@@ -15,7 +14,6 @@ namespace tgdkit {
 class ServeClient {
  public:
   static Result<ServeClient> ConnectUnixSocket(const std::string& path);
-  static Result<ServeClient> ConnectTcp(uint16_t port);
 
   ServeClient(ServeClient&& other) noexcept;
   ServeClient& operator=(ServeClient&& other) noexcept;

@@ -499,10 +499,30 @@ void WriteNullHeader(const Instance& instance, Writer* w) {
   }
 }
 
-void WriteInstance(const Instance& instance, Writer* w) {
+using KeepRows = std::vector<std::pair<RelationId, uint64_t>>;
+
+/// The rows of `rel` a snapshot keeps: its torn-round rollback count in
+/// `keep_rows`, or every row when `keep_rows` is empty.
+uint64_t KeptRows(const Instance& instance, const KeepRows& keep_rows,
+                  RelationId rel) {
+  for (const auto& [krel, kcount] : keep_rows) {
+    if (krel == rel) return kcount;
+  }
+  return instance.NumTuples(rel);
+}
+
+/// In-core instance section: the kept rows of every active relation as
+/// exact text (ToExactText when everything is kept).
+void WriteInstance(const Instance& instance, const KeepRows& keep_rows,
+                   Writer* w) {
   WriteNullHeader(instance, w);
+  std::string text;
+  for (RelationId rel : instance.ActiveRelations()) {
+    instance.AppendExactText(rel, 0, KeptRows(instance, keep_rows, rel),
+                             &text);
+  }
   w->Word("facts");
-  w->Str(instance.ToExactText());
+  w->Str(text);
   w->EndLine();
 }
 
@@ -510,12 +530,9 @@ void WriteInstance(const Instance& instance, Writer* w) {
 /// immutable, so the snapshot references the fully-kept ones by name,
 /// row count and payload CRC, and renders only the remainder — the
 /// mutable tail plus any partially-kept sealed segment prefix — as exact
-/// text. `keep_rows` carries the torn-round rollback counts (empty:
-/// keep everything). Dirty segments must have been flushed already.
-void WriteSpilledInstance(
-    const Instance& instance,
-    const std::vector<std::pair<RelationId, uint64_t>>& keep_rows,
-    Writer* w) {
+/// text. Dirty segments must have been flushed already.
+void WriteSpilledInstance(const Instance& instance, const KeepRows& keep_rows,
+                          Writer* w) {
   WriteNullHeader(instance, w);
   w->Word("spill");
   w->Word("segbytes");
@@ -524,13 +541,7 @@ void WriteSpilledInstance(
   w->U64(instance.ActiveRelations().size());
   w->EndLine();
   for (RelationId rel : instance.ActiveRelations()) {
-    uint64_t keep = instance.NumTuples(rel);
-    for (const auto& [krel, kcount] : keep_rows) {
-      if (krel == rel) {
-        keep = kcount;
-        break;
-      }
-    }
+    uint64_t keep = KeptRows(instance, keep_rows, rel);
     uint64_t segrows = instance.SpillRowsPerSegment(rel);
     uint64_t full_segments =
         std::min(keep / segrows, instance.SpillSealedSegments(rel));
@@ -777,6 +788,12 @@ bool ReadSoTgd(Reader* r, const Vocabulary& vocab, const TermArena& arena,
   return true;
 }
 
+/// The instance a state serializes: the engine's live one for a captured
+/// state, the materialized one for a loaded state.
+const Instance& SnapshotInstance(const ChaseEngineState& state) {
+  return state.live != nullptr ? *state.live : state.instance;
+}
+
 }  // namespace
 
 std::string SerializeChaseSnapshot(const Vocabulary& vocab,
@@ -820,15 +837,16 @@ std::string SerializeChaseSnapshot(const Vocabulary& vocab,
     w.U64(count);
   }
   w.EndLine();
-  if (state.spill_instance != nullptr) {
+  const Instance& instance = SnapshotInstance(state);
+  if (instance.spill_enabled()) {
     // Segment references are only meaningful once the files exist; flush
     // here too so direct serialization (tests, round-trips) stays
     // self-consistent. SaveChaseSnapshot checks the flush status first
     // and propagates failures before anything is serialized.
-    (void)state.spill_instance->FlushDirtySegments();
-    WriteSpilledInstance(*state.spill_instance, state.spill_keep_rows, &w);
+    (void)instance.FlushDirtySegments();
+    WriteSpilledInstance(instance, state.keep_rows, &w);
   } else {
-    WriteInstance(state.instance, &w);
+    WriteInstance(instance, state.keep_rows, &w);
   }
   w.Word("end");
   w.EndLine();
@@ -839,12 +857,13 @@ Status SaveChaseSnapshot(const std::string& path, const Vocabulary& vocab,
                          const TermArena& arena, const SoTgd& rules,
                          const ChaseEngineState& state, uint64_t seed,
                          uint64_t rng_state) {
-  if (state.spill_instance != nullptr) {
+  const Instance& instance = SnapshotInstance(state);
+  if (instance.spill_enabled()) {
     // The manifest references segment files by name: every sealed segment
     // must be durably on disk before the snapshot that points at it. A
     // write failure (disk full) fails the checkpoint here, leaving the
     // previous complete snapshot at `path`.
-    TGDKIT_RETURN_IF_ERROR(state.spill_instance->FlushDirtySegments());
+    TGDKIT_RETURN_IF_ERROR(instance.FlushDirtySegments());
   }
   return AtomicWriteFile(
       path, SerializeChaseSnapshot(vocab, arena, rules, state, seed,

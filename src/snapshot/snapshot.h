@@ -57,15 +57,18 @@ struct ChaseSnapshot {
 // Skolem chase
 
 /// Renders a complete snapshot file (envelope + payload) for a chase
-/// engine state captured with ChaseEngine::CaptureState(). `vocab` and
-/// `arena` must be the ones the engine ran over.
+/// engine state captured with ChaseEngine::CaptureState() (or loaded by
+/// ParseChaseSnapshot). `vocab` and `arena` must be the ones the engine
+/// ran over. The instance is read where the state points (`state.live`,
+/// else `state.instance`), keeping only the rows `state.keep_rows` names.
 ///
-/// Spill-mode states (state.spill_instance set) serialize a SEGMENTED
-/// instance section: sealed segments are referenced by file name + row
-/// count + payload CRC (the files are immutable, so a checkpoint is a
-/// cheap dirty-segment flush plus this small manifest), and only the
-/// mutable remainder is rendered as text. Callers must flush dirty
-/// segments first — SaveChaseSnapshot does.
+/// An in-core instance serializes as one exact-text `facts` section. A
+/// spilled one (Instance::spill_enabled) serializes a SEGMENTED section:
+/// sealed segments are referenced by file name + row count + payload CRC
+/// (the files are immutable, so a checkpoint is a cheap dirty-segment
+/// flush plus this small manifest), and only the mutable remainder is
+/// rendered as text. Callers must flush dirty segments first —
+/// SaveChaseSnapshot does.
 std::string SerializeChaseSnapshot(const Vocabulary& vocab,
                                    const TermArena& arena, const SoTgd& rules,
                                    const ChaseEngineState& state,

@@ -382,16 +382,45 @@ TEST_F(BudgetedChaseTest, RestrictedChaseHonorsTheBudget) {
 
   ChaseLimits limits = OpenLimits();
   limits.budget.max_steps = 2000;
-  ChaseResult result = RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds,
-                                           Seed(), limits);
+  ChaseResult result = RestrictedChaseTgds(&ws_.arena, tgds, Seed(), limits);
   EXPECT_EQ(result.stop_reason, StopReason::kStepLimit);
   EXPECT_GT(result.facts_created, 0u);
 
   ChaseLimits timed = OpenLimits();
   timed.budget.deadline_ms = 50;
-  ChaseResult by_time = RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds,
-                                            Seed(), timed);
+  ChaseResult by_time = RestrictedChaseTgds(&ws_.arena, tgds, Seed(), timed);
   EXPECT_EQ(by_time.stop_reason, StopReason::kDeadline);
+}
+
+TEST_F(BudgetedChaseTest, RestrictedChaseBoundsItsStagedTriggers) {
+  // A(x) & B(y) -> ∃z C(x, y, z) over 200 A and 200 B facts: the first
+  // round stages 40,000 active triggers, two 4-byte values each, so
+  // 320,000 bytes from an instance a small fraction of that. A budget in
+  // between stops the round with memory-limit before anything fires,
+  // while every governor sample stays under it.
+  Tgd tgd;
+  tgd.body = {ws_.A("A", {ws_.V("x")}), ws_.A("B", {ws_.V("y")})};
+  tgd.head = {ws_.A("C", {ws_.V("x"), ws_.V("y"), ws_.V("z")})};
+  tgd.exist_vars = {ws_.Vid("z")};
+  std::vector<Tgd> tgds = {tgd};
+  Instance input(&ws_.vocab);
+  for (int i = 0; i < 200; ++i) {
+    input.AddFact(ws_.Fc("A", {Cat("a", i)}));
+    input.AddFact(ws_.Fc("B", {Cat("b", i)}));
+  }
+
+  ChaseLimits limits = OpenLimits();
+  limits.budget.max_memory_bytes = 200000;
+  ChaseResult bounded = RestrictedChaseTgds(&ws_.arena, tgds, input, limits);
+  EXPECT_EQ(bounded.stop_reason, StopReason::kMemoryLimit);
+  EXPECT_EQ(bounded.rounds, 1u);
+  EXPECT_EQ(bounded.facts_created, 0u);
+  EXPECT_LT(bounded.budget_bytes, limits.budget.max_memory_bytes);
+
+  ChaseResult unbounded = RestrictedChaseTgds(&ws_.arena, tgds, input,
+                                              OpenLimits());
+  EXPECT_EQ(unbounded.stop_reason, StopReason::kFixpoint);
+  EXPECT_EQ(unbounded.facts_created, 40000u);
 }
 
 TEST_F(BudgetedChaseTest, DepthLimitCommitsNoPartialHead) {

@@ -308,8 +308,7 @@ TEST_F(ChaseTest, RestrictedChaseAvoidsRedundantNulls) {
   input.AddFact(ws_.Fc("Mgr", {"alice", "boss"}));
 
   std::vector<Tgd> tgds{tgd};
-  ChaseResult restricted =
-      RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds, input);
+  ChaseResult restricted = RestrictedChaseTgds(&ws_.arena, tgds, input);
   EXPECT_TRUE(restricted.Terminated());
   EXPECT_EQ(restricted.instance.NumFacts(), 2u);
 
@@ -332,8 +331,7 @@ TEST_F(ChaseTest, RestrictedAndObliviousAreHomEquivalent) {
   input.AddFact(ws_.Fc("P", {"b"}));
 
   std::vector<Tgd> tgds{tgd, copy};
-  ChaseResult restricted =
-      RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds, input);
+  ChaseResult restricted = RestrictedChaseTgds(&ws_.arena, tgds, input);
   SoTgd so = TgdsToSo(&ws_.arena, &ws_.vocab, tgds);
   ChaseResult oblivious = Chase(&ws_.arena, &ws_.vocab, so, input);
   EXPECT_TRUE(HomomorphicallyEquivalent(&ws_.arena, &ws_.vocab,

@@ -183,39 +183,6 @@ TEST(ParallelDeterminismTest, ParallelStateResumesUnderAnyThreadCount) {
   }
 }
 
-TEST(ParallelDeterminismTest, RestrictedChaseIdenticalAcrossThreadCounts) {
-  struct Observed {
-    std::string exact_text;
-    uint64_t rounds, facts, steps;
-    ChaseStop stop;
-  };
-  // The result instance references the workspace's vocabulary, so render
-  // the text while the workspace is still alive.
-  auto run = [](uint32_t threads) {
-    TestWorkspace ws;
-    std::vector<Tgd> tgds = BuildTgds(&ws);
-    Instance input = PathInstance(&ws, 24);
-    ChaseLimits limits;
-    limits.threads = threads;
-    ChaseResult r =
-        RestrictedChaseTgds(&ws.arena, &ws.vocab, tgds, input, limits);
-    return Observed{r.instance.ToExactText(), r.rounds, r.facts_created,
-                    r.budget_steps, r.stop_reason};
-  };
-  Observed serial = run(1);
-  ASSERT_EQ(serial.stop, ChaseStop::kFixpoint);
-  ASSERT_GT(serial.facts, 200u);
-  for (uint32_t threads : {2u, 4u}) {
-    Observed parallel = run(threads);
-    std::string label = "restricted threads=" + std::to_string(threads);
-    EXPECT_EQ(parallel.exact_text, serial.exact_text) << label;
-    EXPECT_EQ(parallel.rounds, serial.rounds) << label;
-    EXPECT_EQ(parallel.facts, serial.facts) << label;
-    EXPECT_EQ(parallel.steps, serial.steps) << label;
-    EXPECT_EQ(parallel.stop, serial.stop) << label;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // CLI level: stdout and snapshot files.
 

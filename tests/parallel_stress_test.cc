@@ -148,30 +148,5 @@ TEST(ParallelStressTest, RepeatedParallelRunsAreJitterFree) {
   }
 }
 
-TEST(ParallelStressTest, RestrictedChaseDeadlineUnderLoad) {
-  // The restricted engine stages per-tgd; a deadline must abort its
-  // workers too. Diverging standard-chase workload: R(x) -> exists y
-  // R(y) fires forever (each new null re-triggers).
-  TestWorkspace ws;
-  Tgd grow;  // R(x) -> exists y . E(x, y): never satisfiable by extension
-  grow.body = {ws.A("R", {ws.V("x")})};
-  grow.head = {ws.A("E", {ws.V("x"), ws.V("y")})};
-  grow.exist_vars = {ws.Vid("y")};
-  Tgd back;  // E(x, y) -> R(y): re-arms the existential rule forever
-  back.body = {ws.A("E", {ws.V("x"), ws.V("y")})};
-  back.head = {ws.A("R", {ws.V("y")})};
-  std::vector<Tgd> tgds = {grow, back};
-  Instance input(&ws.vocab);
-  input.AddFact(ws.Fc("R", {"a"}));
-  ChaseLimits limits;
-  limits.threads = 4;
-  limits.max_rounds = ~0ull;
-  limits.max_facts = ~0ull;
-  limits.budget.deadline_ms = 50;
-  ChaseResult result =
-      RestrictedChaseTgds(&ws.arena, &ws.vocab, tgds, input, limits);
-  EXPECT_EQ(result.stop_reason, ChaseStop::kDeadline);
-}
-
 }  // namespace
 }  // namespace tgdkit

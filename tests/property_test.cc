@@ -197,8 +197,7 @@ TEST_P(PropertyTest, RestrictedAndSkolemChasesHomEquivalent) {
   ChaseLimits limits;
   limits.max_facts = 50000;
   ChaseResult skolem = Chase(&ws.arena, &ws.vocab, so, input, limits);
-  ChaseResult restricted =
-      RestrictedChaseTgds(&ws.arena, &ws.vocab, tgds, input, limits);
+  ChaseResult restricted = RestrictedChaseTgds(&ws.arena, tgds, input, limits);
   if (!skolem.Terminated() || !restricted.Terminated()) return;
   EXPECT_TRUE(HomomorphicallyEquivalent(&ws.arena, &ws.vocab,
                                         skolem.instance,

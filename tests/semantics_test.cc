@@ -177,8 +177,8 @@ TEST_F(SemanticsTest, RestrictedChaseReusesExistingWitnesses) {
   // chains — and must be strictly larger.
   ChaseLimits restricted_limits;
   restricted_limits.max_rounds = 8;
-  ChaseResult restricted = RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds,
-                                               source, restricted_limits);
+  ChaseResult restricted =
+      RestrictedChaseTgds(&ws_.arena, tgds, source, restricted_limits);
   EXPECT_FALSE(restricted.Terminated());
   SoTgd so = TgdsToSo(&ws_.arena, &ws_.vocab, tgds);
   ChaseLimits oblivious_limits;

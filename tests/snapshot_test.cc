@@ -96,8 +96,11 @@ TEST(SnapshotTest, ChaseSerializeParseRoundTrip) {
   EXPECT_EQ(parsed->state->term_to_value, state.term_to_value);
   EXPECT_EQ(parsed->state->rows_before_current_round,
             state.rows_before_current_round);
+  // A step stop lands in staging, before the round commits anything, so
+  // the snapshot keeps the live instance whole.
+  EXPECT_TRUE(state.keep_rows.empty());
   EXPECT_EQ(parsed->state->instance.ToExactText(),
-            state.instance.ToExactText());
+            engine.instance().ToExactText());
   EXPECT_EQ(parsed->arena->size(), ws.arena.size());
   // Serializing the parsed snapshot reproduces the file byte for byte.
   EXPECT_EQ(SerializeChaseSnapshot(*parsed->vocab, *parsed->arena,
@@ -108,26 +111,39 @@ TEST(SnapshotTest, ChaseSerializeParseRoundTrip) {
 TEST(SnapshotTest, ChaseResumeAfterBudgetStopIsBitIdentical) {
   GoldenRun golden = GoldenChase(12);
 
-  TestWorkspace ws;
-  SoTgd so = TransitiveClosureRules(&ws);
-  Instance input = PathInstance(&ws, 12);
-  ChaseLimits limits;
-  limits.budget.max_steps = 200;
-  ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
-  engine.Run();
-  ASSERT_EQ(engine.stop_reason(), ChaseStop::kStepLimit);
+  // A step stop lands in staging, before the round commits anything. A
+  // fact stop lands inside the round's flush, with part of the round
+  // committed: the capture is torn and keeps only the round-start rows.
+  ChaseLimits by_steps;
+  by_steps.budget.max_steps = 200;
+  ChaseLimits by_facts;
+  by_facts.max_facts = 40;
+  for (const ChaseLimits& limits : {by_steps, by_facts}) {
+    const bool torn = limits.max_facts == by_facts.max_facts;
+    const std::string label = torn ? "fact stop" : "step stop";
+    TestWorkspace ws;
+    SoTgd so = TransitiveClosureRules(&ws);
+    Instance input = PathInstance(&ws, 12);
+    ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
+    engine.Run();
+    ASSERT_EQ(engine.stop_reason(),
+              torn ? ChaseStop::kFactLimit : ChaseStop::kStepLimit)
+        << label;
 
-  std::string bytes = SerializeChaseSnapshot(
-      ws.vocab, ws.arena, so, engine.CaptureState(), 0, 0);
-  auto snap = ParseChaseSnapshot(bytes);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  ChaseEngine resumed(snap->arena.get(), snap->vocab.get(), snap->rules,
-                      std::move(*snap->state), ChaseLimits{});
-  resumed.Run();
-  EXPECT_EQ(resumed.stop_reason(), ChaseStop::kFixpoint);
-  EXPECT_EQ(resumed.instance().ToString(), golden.text);
-  EXPECT_EQ(resumed.rounds(), golden.rounds);
-  EXPECT_EQ(resumed.facts_created(), golden.facts_created);
+    ChaseEngineState state = engine.CaptureState();
+    EXPECT_EQ(state.keep_rows.empty(), !torn) << label;
+    std::string bytes = SerializeChaseSnapshot(ws.vocab, ws.arena, so, state,
+                                               0, 0);
+    auto snap = ParseChaseSnapshot(bytes);
+    ASSERT_TRUE(snap.ok()) << label << ": " << snap.status().ToString();
+    ChaseEngine resumed(snap->arena.get(), snap->vocab.get(), snap->rules,
+                        std::move(*snap->state), ChaseLimits{});
+    resumed.Run();
+    EXPECT_EQ(resumed.stop_reason(), ChaseStop::kFixpoint) << label;
+    EXPECT_EQ(resumed.instance().ToString(), golden.text) << label;
+    EXPECT_EQ(resumed.rounds(), golden.rounds) << label;
+    EXPECT_EQ(resumed.facts_created(), golden.facts_created) << label;
+  }
 }
 
 TEST(SnapshotTest, ChasePeriodicCheckpointsAllResumeBitIdentical) {
@@ -277,6 +293,60 @@ TEST(SnapshotTest, CheckpointsOfLegalInstanceNamesResume) {
     std::remove((dir + "/" + name).c_str());
   }
   ::rmdir(dir.c_str());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(SnapshotTest, WriterReproducesPinnedCaptures) {
+  // corpus/snapshots/capture_*.snap were written by an earlier build of
+  // the checkpoint writer (commands in corpus/snapshots/README.md). The
+  // same runs must write the same bytes: a fixpoint capture, and a torn
+  // one whose --max-facts stop lands inside a round's flush, so the
+  // writer rolls the instance back to the round's start.
+  const std::string corpus =
+      std::string(TGDKIT_SOURCE_DIR) + "/corpus/snapshots/";
+  const std::string snap =
+      Cat(testing::TempDir(), "/tgdkit_pinned_", getpid(), ".snap");
+  struct Pinned {
+    const char* file;
+    std::vector<std::string> flags;
+    int exit_code;
+  };
+  for (const Pinned& pinned :
+       {Pinned{"capture_fixpoint.snap", {}, kExitOk},
+        Pinned{"capture_torn.snap", {"--max-facts", "50"}, kExitResource}}) {
+    std::vector<std::string> args{"chase", corpus + "capture.tgd",
+                                  corpus + "capture.inst", "--seed", "11",
+                                  "--checkpoint", snap};
+    args.insert(args.end(), pinned.flags.begin(), pinned.flags.end());
+    std::ostringstream out, err;
+    ASSERT_EQ(RunCli(args, out, err), pinned.exit_code)
+        << pinned.file << ": " << err.str();
+    std::string expected = ReadFileBytes(corpus + pinned.file);
+    EXPECT_EQ(ReadFileBytes(snap), expected) << pinned.file;
+
+    // The fixpoint capture keeps every printed fact; the torn one keeps
+    // fewer than the stopped run printed.
+    auto parsed = ParseChaseSnapshot(expected);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    size_t printed = 0;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.empty() && line[0] != '#') ++printed;
+    }
+    if (pinned.exit_code == kExitOk) {
+      EXPECT_EQ(parsed->state->instance.NumFacts(), printed) << pinned.file;
+    } else {
+      EXPECT_LT(parsed->state->instance.NumFacts(), printed) << pinned.file;
+    }
+    std::remove(snap.c_str());
+  }
 }
 
 TEST(SnapshotTest, InstanceExactTextParsePrintIdentity) {

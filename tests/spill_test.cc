@@ -206,6 +206,43 @@ TEST_F(SpillTest, ResumingSpilledSnapshotRequiresSpillDir) {
   EXPECT_NE(last_err_.find("spill"), std::string::npos) << last_err_;
 }
 
+TEST_F(SpillTest, ResumeAfterBudgetStopIsBitIdentical) {
+  // The spilled counterpart of SnapshotTest's resume-after-budget-stop: a
+  // step stop lands in staging; a fact stop lands inside round 4's flush,
+  // so the final capture is torn and keeps only the round-start rows
+  // (one sealed segment plus a text tail of E). Resuming under the
+  // default, larger caps must print what the uninterrupted run prints.
+  auto [gold_code, golden] =
+      Run({"chase", rules_path_, inst_path_, "--seed", "5", "--spill-dir",
+           spill_dir_, "--spill-segment-kb", "1"});
+  ASSERT_EQ(gold_code, 0) << last_err_;
+  for (const auto& [flag, cap] : {std::pair<std::string, std::string>{
+                                      "--max-steps", "3000"},
+                                  {"--max-facts", "300"}}) {
+    ClearSpillDir();
+    auto [code, stopped] =
+        Run({"chase", rules_path_, inst_path_, "--seed", "5", "--spill-dir",
+             spill_dir_, "--spill-segment-kb", "1", "--checkpoint",
+             snap_path_, flag, cap});
+    ASSERT_EQ(code, kExitResource) << flag << ": " << last_err_;
+    if (flag == "--max-facts") {
+      // Torn: the snapshot keeps fewer facts than the stopped run printed.
+      size_t printed = 0;
+      std::istringstream lines(stopped);
+      for (std::string line; std::getline(lines, line);) {
+        if (!line.empty() && line[0] != '#') ++printed;
+      }
+      auto snap = LoadChaseSnapshot(snap_path_, spill_dir_);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      EXPECT_LT(snap->state->instance.NumFacts(), printed);
+    }
+    auto [resume_code, resumed] =
+        Run({"chase", "--resume", snap_path_, "--spill-dir", spill_dir_});
+    ASSERT_EQ(resume_code, 0) << flag << ": " << last_err_;
+    EXPECT_EQ(resumed, golden) << flag;
+  }
+}
+
 TEST_F(SpillTest, StepBudgetedSpillMatchesInCore) {
   // Perfbench's closure rules over a fixed 36-node digraph with 72
   // distinct edges (self-loops kept), drawn from an LCG. The matcher
