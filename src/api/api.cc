@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -35,6 +33,71 @@
 #include "transform/nested.h"
 
 namespace tgdkit {
+
+struct EngineOptions {
+  ChaseLimits limits;
+  uint64_t seed = 0;
+  std::string checkpoint_path;
+  uint64_t checkpoint_every_steps = 0;
+  uint64_t checkpoint_every_ms = 0;
+  std::string resume_path;
+  std::string lint_format = "text";
+  LintSeverity fail_on = LintSeverity::kError;
+  bool auto_budget = false;
+};
+
+const FlagTable<EngineOptions>& EngineFlags() {
+  using O = EngineOptions;
+  static constexpr std::string_view kFormats[] = {"text", "json", "sarif"};
+  static constexpr std::string_view kSeverities[] = {"note", "warning",
+                                                     "error"};
+  static const FlagTable<O> table{"unknown option ", {
+      {"--max-rounds", [](O* o, uint64_t v) { o->limits.max_rounds = v; }},
+      {"--max-facts", [](O* o, uint64_t v) { o->limits.max_facts = v; }},
+      {"--max-depth",
+       [](O* o, uint64_t v) {
+         o->limits.max_term_depth = static_cast<uint32_t>(v);
+       },
+       0, UINT32_MAX},
+      {"--max-steps",
+       [](O* o, uint64_t v) { o->limits.budget.max_steps = v; }},
+      {"--deadline-ms",
+       [](O* o, uint64_t v) { o->limits.budget.deadline_ms = v; }},
+      {"--max-memory-mb",
+       [](O* o, uint64_t v) { o->limits.budget.max_memory_bytes = v << 20; },
+       0, UINT64_MAX >> 20},
+      {"--seed", [](O* o, uint64_t v) { o->seed = v; }},
+      {"--auto-budget", [](O* o, bool on) { o->auto_budget = on; }},
+      {"--threads",
+       [](O* o, uint64_t v) { o->limits.threads = static_cast<uint32_t>(v); },
+       0, 256},
+      {"--checkpoint",
+       [](O* o, const std::string& v) { o->checkpoint_path = v; }},
+      {"--checkpoint-every-steps",
+       [](O* o, uint64_t v) { o->checkpoint_every_steps = v; }},
+      {"--checkpoint-every-ms",
+       [](O* o, uint64_t v) { o->checkpoint_every_ms = v; }},
+      {"--resume", [](O* o, const std::string& v) { o->resume_path = v; }},
+      {"--spill-dir",
+       [](O* o, const std::string& v) { o->limits.spill_dir = v; }},
+      // The chase engine scales it to bytes.
+      {"--spill-segment-kb",
+       [](O* o, uint64_t v) { o->limits.spill_segment_kb = v; }, 1,
+       UINT64_MAX >> 10},
+      {.name = "--format",
+       .store = [](O* o, const std::string& v) { o->lint_format = v; },
+       .choices = kFormats,
+       .joined = true},
+      {.name = "--fail-on",
+       .store =
+           [](O* o, const std::string& v) {
+             ParseLintSeverity(v, &o->fail_on);
+           },
+       .choices = kSeverities,
+       .joined = true},
+  }};
+  return table;
+}
 
 namespace {
 
@@ -122,20 +185,11 @@ constexpr const char* kUsage =
     "         --replay FILE|DIR  re-run reproducers; exit 3 when any\n"
     "                            still fails\n";
 
-struct CliContext {
+struct CliContext : EngineOptions {
   /// The request's execution context (cancellation, virtual files).
   const ApiOptions* api = nullptr;
   Vocabulary vocab;
   TermArena arena;
-  ChaseLimits limits;
-  uint64_t seed = 0;
-  std::string checkpoint_path;
-  uint64_t checkpoint_every_steps = 0;
-  uint64_t checkpoint_every_ms = 0;
-  std::string resume_path;
-  std::string lint_format = "text";
-  LintSeverity fail_on = LintSeverity::kError;
-  bool auto_budget = false;
   /// Extra tokens for '# status:' lines (e.g. the --auto-budget echo).
   std::string status_suffix;
   std::vector<std::string> positional;
@@ -156,106 +210,6 @@ std::optional<std::string> ReadFile(const CliContext& ctx,
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-/// Parses options into `ctx`; returns false on a malformed option.
-bool ParseOptions(const std::vector<std::string>& args, CliContext* ctx,
-                  std::ostream& err) {
-  for (size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      return ParseNumericFlag(args, &i, max, slot, err);
-    };
-    auto pathval = [&](std::string* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      *slot = args[++i];
-      if (slot->empty()) {
-        err << "tgdkit: empty value for " << arg << "\n";
-        return false;
-      }
-      return true;
-    };
-    if (arg == "--max-rounds") {
-      if (!numeric(&ctx->limits.max_rounds)) return false;
-    } else if (arg == "--max-facts") {
-      if (!numeric(&ctx->limits.max_facts)) return false;
-    } else if (arg == "--max-depth") {
-      uint64_t depth = 0;
-      if (!numeric(&depth, UINT32_MAX)) return false;
-      ctx->limits.max_term_depth = static_cast<uint32_t>(depth);
-    } else if (arg == "--max-steps") {
-      if (!numeric(&ctx->limits.budget.max_steps)) return false;
-    } else if (arg == "--deadline-ms") {
-      if (!numeric(&ctx->limits.budget.deadline_ms)) return false;
-    } else if (arg == "--max-memory-mb") {
-      uint64_t mb = 0;
-      if (!numeric(&mb, UINT64_MAX >> 20)) return false;
-      ctx->limits.budget.max_memory_bytes = mb << 20;
-    } else if (arg == "--seed") {
-      if (!numeric(&ctx->seed)) return false;
-    } else if (arg == "--auto-budget") {
-      ctx->auto_budget = true;
-    } else if (arg == "--threads") {
-      uint64_t threads = 0;
-      if (!numeric(&threads)) return false;
-      if (threads > 256) {
-        err << "tgdkit: --threads must be between 0 and 256\n";
-        return false;
-      }
-      ctx->limits.threads = static_cast<uint32_t>(threads);
-    } else if (arg == "--checkpoint") {
-      if (!pathval(&ctx->checkpoint_path)) return false;
-    } else if (arg == "--checkpoint-every-steps") {
-      if (!numeric(&ctx->checkpoint_every_steps)) return false;
-    } else if (arg == "--checkpoint-every-ms") {
-      if (!numeric(&ctx->checkpoint_every_ms)) return false;
-    } else if (arg == "--resume") {
-      if (!pathval(&ctx->resume_path)) return false;
-    } else if (arg == "--spill-dir") {
-      if (!pathval(&ctx->limits.spill_dir)) return false;
-    } else if (arg == "--spill-segment-kb") {
-      // The chase engine scales it to bytes.
-      if (!numeric(&ctx->limits.spill_segment_kb, UINT64_MAX >> 10)) {
-        return false;
-      }
-      if (ctx->limits.spill_segment_kb == 0) {
-        err << "tgdkit: --spill-segment-kb must be positive\n";
-        return false;
-      }
-    } else if (arg == "--format" || arg.rfind("--format=", 0) == 0 ||
-               arg == "--fail-on" || arg.rfind("--fail-on=", 0) == 0) {
-      // Lint options take "--opt value" or "--opt=value".
-      std::string name = arg, value;
-      if (auto eq = arg.find('='); eq != std::string::npos) {
-        name = arg.substr(0, eq);
-        value = arg.substr(eq + 1);
-      } else if (i + 1 < args.size()) {
-        value = args[++i];
-      } else {
-        err << "tgdkit: missing value for " << name << "\n";
-        return false;
-      }
-      if (name == "--format") {
-        if (value != "text" && value != "json" && value != "sarif") {
-          err << "tgdkit: --format must be text, json or sarif\n";
-          return false;
-        }
-        ctx->lint_format = value;
-      } else if (!ParseLintSeverity(value, &ctx->fail_on)) {
-        err << "tgdkit: --fail-on must be note, warning or error\n";
-        return false;
-      }
-    } else if (arg.rfind("--", 0) == 0) {
-      err << "tgdkit: unknown option " << arg << "\n";
-      return false;
-    } else {
-      ctx->positional.push_back(arg);
-    }
-  }
-  return true;
 }
 
 /// Loads and parses a dependency program.
@@ -871,6 +825,15 @@ int CmdDot(CliContext* ctx, std::ostream& out, std::ostream& err) {
   return kExitOk;
 }
 
+struct SelftestOptions {
+  uint64_t stdout_lines = 0;
+  uint64_t stderr_lines = 0;
+  uint64_t spin_ms = 0;
+  uint64_t die_signal = 0;
+  std::optional<uint64_t> die_exit;
+  bool ignore_term = false;
+};
+
 /// Hidden test command: a worker with scriptable misbehaviour, so the
 /// batch supervisor's crash/timeout/escalation paths are testable
 /// deterministically and without a real engine. Not in kUsage on purpose.
@@ -883,37 +846,23 @@ int CmdDot(CliContext* ctx, std::ostream& out, std::ostream& err) {
 int CmdSelftest(const std::vector<std::string>& args,
                 const ApiOptions& api, std::ostream& out,
                 std::ostream& err) {
-  uint64_t stdout_lines = 0, stderr_lines = 0, spin_ms = 0;
-  uint64_t die_signal = 0, die_exit = 0;
-  bool has_die_exit = false, ignore_term = false;
-  for (size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      return ParseNumericFlag(args, &i, max, slot, err);
-    };
-    if (arg == "--stdout-lines") {
-      if (!numeric(&stdout_lines)) return kExitUsage;
-    } else if (arg == "--stderr-lines") {
-      if (!numeric(&stderr_lines)) return kExitUsage;
-    } else if (arg == "--spin-ms") {
-      if (!numeric(&spin_ms)) return kExitUsage;
-    } else if (arg == "--die-signal") {
-      if (!numeric(&die_signal, NSIG - 1)) return kExitUsage;
-    } else if (arg == "--die-exit") {
+  using O = SelftestOptions;
+  static const FlagTable<O> flags{"selftest: unknown option ", {
+      {"--stdout-lines", [](O* o, uint64_t v) { o->stdout_lines = v; }},
+      {"--stderr-lines", [](O* o, uint64_t v) { o->stderr_lines = v; }},
+      {"--spin-ms", [](O* o, uint64_t v) { o->spin_ms = v; }},
+      {"--die-signal", [](O* o, uint64_t v) { o->die_signal = v; }, 0,
+       NSIG - 1},
       // An exit status is one byte; a wider value would wrap.
-      if (!numeric(&die_exit, 255)) return kExitUsage;
-      has_die_exit = true;
-    } else if (arg == "--ignore-term") {
-      ignore_term = true;
-    } else {
-      err << "tgdkit: selftest: unknown option " << arg << "\n";
-      return kExitUsage;
-    }
-  }
-  for (uint64_t i = 0; i < stdout_lines; ++i) {
+      {"--die-exit", [](O* o, uint64_t v) { o->die_exit = v; }, 0, 255},
+      {"--ignore-term", [](O* o, bool on) { o->ignore_term = on; }},
+  }};
+  SelftestOptions options;
+  if (!flags.Parse(args, &options, nullptr, err)) return kExitUsage;
+  for (uint64_t i = 0; i < options.stdout_lines; ++i) {
     out << "selftest stdout line " << i << "\n";
   }
-  for (uint64_t i = 0; i < stderr_lines; ++i) {
+  for (uint64_t i = 0; i < options.stderr_lines; ++i) {
     err << "selftest stderr line " << i << "\n";
   }
   out.flush();
@@ -922,19 +871,19 @@ int CmdSelftest(const std::vector<std::string>& args,
   // ours alone (a forked worker / the one-shot CLI). In a shared
   // process (the serve daemon) --ignore-term still means "do not poll
   // the cancellation token", which is the part hard-overrun tests need.
-  if (ignore_term && !api.forbid_fork_workers) {
+  if (options.ignore_term && !api.forbid_fork_workers) {
     std::signal(SIGTERM, SIG_IGN);
   }
-  if (die_signal != 0 && api.forbid_fork_workers) {
+  if (options.die_signal != 0 && api.forbid_fork_workers) {
     err << "tgdkit: selftest: --die-signal is unavailable in a shared "
            "process\n";
     return kExitUsage;
   }
-  if (spin_ms > 0) {
+  if (options.spin_ms > 0) {
     auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(spin_ms);
+                    std::chrono::milliseconds(options.spin_ms);
     while (std::chrono::steady_clock::now() < deadline) {
-      if (!ignore_term && api.cancel.cancelled()) {
+      if (!options.ignore_term && api.cancel.cancelled()) {
         out << "# status: "
             << StopReasonToStatus(StopReason::kCancelled, "selftest")
                    .ToString()
@@ -944,111 +893,55 @@ int CmdSelftest(const std::vector<std::string>& args,
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
-  if (die_signal != 0) {
+  if (options.die_signal != 0) {
     out.flush();
     err.flush();
-    std::raise(static_cast<int>(die_signal));
+    std::raise(static_cast<int>(options.die_signal));
     // Still here: the signal is ignored or handled (SIGCHLD, SIGTERM),
     // and a task meant to crash must not complete.
-    err << "tgdkit: selftest: signal " << die_signal
+    err << "tgdkit: selftest: signal " << options.die_signal
         << " did not end the process\n";
     return kExitInternal;
   }
-  if (has_die_exit) return static_cast<int>(die_exit);
+  if (options.die_exit) return static_cast<int>(*options.die_exit);
   out << "# status: OK\n";
   return kExitOk;
 }
 
-/// `tgdkit batch MANIFEST`: parses its own flag set (task argvs already
-/// carry the engine options), merges CLI > manifest `batch` directives >
-/// built-in defaults, and hands off to the supervisor.
+/// `tgdkit batch MANIFEST`: reads batch's own flags (task argvs already
+/// carry the engine options), applies them over the manifest's `batch`
+/// settings, and hands off to the supervisor.
 int CmdBatch(const std::vector<std::string>& args, const ApiOptions& api,
              std::ostream& out, std::ostream& err) {
-  SupervisorOptions options;
-  SupervisorCliOverrides set;
+  // The flags are read twice: first to find MANIFEST and to refuse a bad
+  // command line before any file is read, then over the manifest's
+  // settings, so that a flag outranks the manifest and the manifest
+  // outranks the built-in default.
   std::vector<std::string> positional;
-  for (size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot, bool* explicit_flag) {
-      if (!ParseNumericFlag(args, &i, UINT64_MAX, slot, err)) return false;
-      *explicit_flag = true;
-      return true;
-    };
-    auto pathval = [&](std::string* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      *slot = args[++i];
-      return !slot->empty();
-    };
-    if (arg == "--run-dir") {
-      if (!pathval(&options.run_dir)) return kExitUsage;
-    } else if (arg == "--ledger") {
-      if (!pathval(&options.ledger_path)) return kExitUsage;
-    } else if (arg == "--worker") {
-      if (!pathval(&options.worker_binary)) return kExitUsage;
-    } else if (arg == "--max-parallel") {
-      if (!numeric(&options.max_parallel, &set.max_parallel)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--retries") {
-      if (!numeric(&options.retries, &set.retries)) return kExitUsage;
-    } else if (arg == "--backoff-ms") {
-      if (!numeric(&options.backoff_ms, &set.backoff_ms)) return kExitUsage;
-    } else if (arg == "--backoff-cap-ms") {
-      if (!numeric(&options.backoff_cap_ms, &set.backoff_cap_ms)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--grace-ms") {
-      if (!numeric(&options.grace_ms, &set.grace_ms)) return kExitUsage;
-    } else if (arg == "--task-deadline-ms") {
-      if (!numeric(&options.task_deadline_ms, &set.task_deadline_ms)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--escalate-factor") {
-      if (!numeric(&options.escalate_factor, &set.escalate_factor)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--checkpoint-every-steps") {
-      if (!numeric(&options.checkpoint_every_steps,
-                   &set.checkpoint_every_steps)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--checkpoint-every-ms") {
-      if (!numeric(&options.checkpoint_every_ms,
-                   &set.checkpoint_every_ms)) {
-        return kExitUsage;
-      }
-    } else if (arg == "--accept-resource") {
-      options.accept_resource = true;
-      set.accept_resource = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      err << "tgdkit: batch: unknown option " << arg << "\n";
+  {
+    SupervisorOptions checked;
+    if (!BatchFlags().Parse(args, &checked, &positional, err)) {
       return kExitUsage;
-    } else {
-      positional.push_back(arg);
     }
   }
   if (positional.size() != 1) {
     err << kUsage;
     return kExitUsage;
   }
+  SupervisorOptions options;
   options.manifest_path = positional[0];
-  Result<Manifest> manifest = LoadManifest(options.manifest_path);
+  Result<Manifest> manifest = LoadManifest(options.manifest_path, &options);
   if (!manifest.ok()) {
-    err << "tgdkit: " << options.manifest_path << ": "
-        << manifest.status().ToString() << "\n";
+    err << "tgdkit: " << manifest.status().ToString() << "\n";
     return ExitCodeForStatus(manifest.status());
   }
-  ApplyManifestDefaults(manifest->defaults, set, &options);
+  BatchFlags().Parse(args, &options, &positional, err);
   if (options.run_dir.empty()) {
     options.run_dir = options.manifest_path + ".runs";
   }
   if (options.ledger_path.empty()) {
     options.ledger_path = options.run_dir + "/ledger.jsonl";
   }
-  if (options.max_parallel == 0) options.max_parallel = 1;
   if (api.forbid_fork_workers && options.worker_binary.empty()) {
     // fork() without exec from a multithreaded process (the serve
     // daemon) can deadlock in the child; only fork+exec workers are
@@ -1104,11 +997,10 @@ int FuzzReplay(const std::string& path, const FuzzOptions& options,
   }
   uint64_t failing = 0;
   for (const std::string& file : files) {
-    std::ifstream in(file);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
+    Result<std::string> text = ReadFileBytes(file);
     std::string invariant;
-    Result<FuzzScenario> scenario = ParseReproducer(buffer.str(), &invariant);
+    Result<FuzzScenario> scenario =
+        text.ok() ? ParseReproducer(*text, &invariant) : text.status();
     if (!scenario.ok()) {
       err << "tgdkit: fuzz: " << file << ": "
           << scenario.status().ToString() << "\n";
@@ -1130,6 +1022,19 @@ int FuzzReplay(const std::string& path, const FuzzOptions& options,
   return failing != 0 ? kExitVerdict : kExitOk;
 }
 
+struct FuzzCommand {
+  FuzzOptions options;
+  std::string replay_path;
+};
+
+std::vector<std::string_view> AdversarialShapeNames() {
+  std::vector<std::string_view> names;
+  for (uint32_t i = 0; i < kNumAdversarialShapes; ++i) {
+    names.push_back(AdversarialShapeName(static_cast<AdversarialShape>(i)));
+  }
+  return names;
+}
+
 /// `tgdkit fuzz`: the chaos-fuzzing campaign driver (docs/FUZZING.md).
 /// Parses its own flag set — the engine options of the runs it launches
 /// are fixed by the campaign so the verdict log is deterministic per
@@ -1137,59 +1042,41 @@ int FuzzReplay(const std::string& path, const FuzzOptions& options,
 int CmdFuzz(const std::vector<std::string>& args, const ApiOptions& api,
             std::ostream& out, std::ostream& err) {
   namespace fs = std::filesystem;
-  FuzzOptions options;
-  std::string replay_path;
-  for (size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      return ParseNumericFlag(args, &i, max, slot, err);
-    };
-    auto pathval = [&](std::string* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      *slot = args[++i];
-      return !slot->empty();
-    };
-    if (arg == "--seeds") {
-      if (!numeric(&options.seeds)) return kExitUsage;
-    } else if (arg == "--seed-start") {
-      if (!numeric(&options.seed_start)) return kExitUsage;
-    } else if (arg == "--shape") {
-      std::string name;
-      if (!pathval(&name)) return kExitUsage;
-      AdversarialShape shape;
-      if (!ParseAdversarialShapeName(name, &shape)) {
-        err << "tgdkit: fuzz: unknown shape '" << name << "'\n";
-        return kExitUsage;
-      }
-      options.shape = shape;
-    } else if (arg == "--no-faults") {
-      options.fork_faults = false;
-    } else if (arg == "--corpus-dir") {
-      if (!pathval(&options.corpus_dir)) return kExitUsage;
-    } else if (arg == "--scratch-dir") {
-      if (!pathval(&options.scratch_dir)) return kExitUsage;
-    } else if (arg == "--shrink-rounds") {
-      uint64_t rounds = 0;
-      if (!numeric(&rounds, UINT32_MAX)) return kExitUsage;
-      options.shrink_attempts = static_cast<uint32_t>(rounds);
-    } else if (arg == "--inject-bug") {
-      if (!pathval(&options.inject_bug)) return kExitUsage;
-      if (options.inject_bug != "tamper-witness" &&
-          options.inject_bug != "torn-checkpoint") {
-        err << "tgdkit: fuzz: --inject-bug must be tamper-witness or "
-               "torn-checkpoint\n";
-        return kExitUsage;
-      }
-    } else if (arg == "--replay") {
-      if (!pathval(&replay_path)) return kExitUsage;
-    } else {
-      err << "tgdkit: fuzz: unknown argument " << arg << "\n";
-      return kExitUsage;
-    }
-  }
+  using O = FuzzCommand;
+  static const std::vector<std::string_view> kShapes =
+      AdversarialShapeNames();
+  static constexpr std::string_view kBugs[] = {"tamper-witness",
+                                               "torn-checkpoint"};
+  static const FlagTable<O> flags{"fuzz: unknown argument ", {
+      {"--seeds", [](O* o, uint64_t v) { o->options.seeds = v; }},
+      {"--seed-start", [](O* o, uint64_t v) { o->options.seed_start = v; }},
+      {.name = "--shape",
+       .store =
+           [](O* o, const std::string& v) {
+             AdversarialShape shape{};
+             ParseAdversarialShapeName(v, &shape);
+             o->options.shape = shape;
+           },
+       .choices = kShapes},
+      {"--no-faults", [](O* o, bool on) { o->options.fork_faults = !on; }},
+      {"--corpus-dir",
+       [](O* o, const std::string& v) { o->options.corpus_dir = v; }},
+      {"--scratch-dir",
+       [](O* o, const std::string& v) { o->options.scratch_dir = v; }},
+      {"--shrink-rounds",
+       [](O* o, uint64_t v) {
+         o->options.shrink_attempts = static_cast<uint32_t>(v);
+       },
+       0, UINT32_MAX},
+      {.name = "--inject-bug",
+       .store = [](O* o, const std::string& v) { o->options.inject_bug = v; },
+       .choices = kBugs},
+      {"--replay", [](O* o, const std::string& v) { o->replay_path = v; }},
+  }};
+  FuzzCommand command;
+  if (!flags.Parse(args, &command, nullptr, err)) return kExitUsage;
+  FuzzOptions& options = command.options;
+  const std::string& replay_path = command.replay_path;
   if (api.forbid_fork_workers && options.fork_faults) {
     // fork() from a multithreaded daemon can deadlock in the child;
     // crash/ENOSPC injection is only available from the one-shot CLI.
@@ -1267,32 +1154,6 @@ int CmdFuzz(const std::vector<std::string>& args, const ApiOptions& api,
 
 }  // namespace
 
-bool ParseNumericFlag(const std::vector<std::string>& args, size_t* i,
-                      uint64_t max, uint64_t* value, std::ostream& err) {
-  const std::string& flag = args[*i];
-  if (*i + 1 >= args.size()) {
-    err << "tgdkit: missing value for " << flag << "\n";
-    return false;
-  }
-  const std::string& text = args[++*i];
-  // Validate by hand: strtoull skips leading space, takes a sign and
-  // stops at trailing junk; option values must be pure digits.
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    err << "tgdkit: invalid value '" << text << "' for " << flag << "\n";
-    return false;
-  }
-  errno = 0;
-  uint64_t parsed = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE || parsed > max) {
-    err << "tgdkit: value '" << text << "' for " << flag
-        << " is out of range (at most " << max << ")\n";
-    return false;
-  }
-  *value = parsed;
-  return true;
-}
-
 int ExitCodeForStop(StopReason stop) {
   return IsResourceStop(stop) ? kExitResource : kExitOk;
 }
@@ -1322,15 +1183,17 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
     err << kUsage;
     return kExitUsage;
   }
-  // batch and selftest parse their own flag sets (a manifest task's argv
-  // must pass through to the worker untouched).
+  // batch, selftest and fuzz have their own flags (a manifest task's
+  // argv must pass through to the worker untouched).
   if (args[0] == "batch") return CmdBatch(args, options, out, err);
   if (args[0] == "selftest") return CmdSelftest(args, options, out, err);
   if (args[0] == "fuzz") return CmdFuzz(args, options, out, err);
   CliContext ctx;
   ctx.api = &options;
   ctx.limits.budget.cancel = options.cancel;
-  if (!ParseOptions(args, &ctx, err)) return kExitUsage;
+  if (!EngineFlags().Parse(args, &ctx, &ctx.positional, err)) {
+    return kExitUsage;
+  }
   const std::string& command = args[0];
   bool wants_checkpointing =
       !ctx.checkpoint_path.empty() || !ctx.resume_path.empty() ||
@@ -1359,10 +1222,6 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
           << "': " << made.ToString() << "\n";
       return kExitInput;
     }
-  }
-  // The command itself landed in positional[0]; drop it.
-  if (!ctx.positional.empty() && ctx.positional[0] == command) {
-    ctx.positional.erase(ctx.positional.begin());
   }
   if (command == "classify") return CmdClassify(&ctx, out, err);
   if (command == "lint") return CmdLint(&ctx, out, err);

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "api/flags.h"
 #include "base/budget.h"
 #include "base/status.h"
 
@@ -96,15 +97,15 @@ struct ApiOptions {
   bool forbid_fork_workers = false;
 };
 
-/// Reads the value of the numeric option `args[*i]` from `args[*i + 1]`
-/// and advances `*i` past it. The value must be decimal digits only and
-/// at most `max`, which bounds a value that is later scaled or narrowed
-/// so that its stored form cannot wrap around. Otherwise writes a
-/// diagnostic naming the option to `err` and returns false, which every
-/// caller reports as kExitUsage. All numeric flags of every subcommand,
-/// serve included, are read through it.
-bool ParseNumericFlag(const std::vector<std::string>& args, size_t* i,
-                      uint64_t max, uint64_t* value, std::ostream& err);
+/// What the engine commands' flags set (the budgets, checkpoint and
+/// spill settings, and lint's output options).
+struct EngineOptions;
+
+/// The flags of the engine commands: classify, lint, chase, check,
+/// certain, normalize, dot, explain, compose and solve. Every engine
+/// command accepts every row; RunCommand refuses the checkpoint and spill
+/// flags for the commands that cannot honour them.
+const FlagTable<EngineOptions>& EngineFlags();
 
 /// Runs one subcommand invocation. `args` excludes the program name.
 /// Returns a process exit code from the ExitCode table. Thread-safe:

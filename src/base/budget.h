@@ -13,7 +13,7 @@
 //    fast path is a counter increment; deadline/memory/cancellation are
 //    re-checked every kCheckInterval steps.
 //  * StopReason — the structured verdict. It subsumes the chase's old
-//    ChaseStop enum and the model checker's budget_exceeded flag, so a
+//    StopReason enum and the model checker's budget_exceeded flag, so a
 //    partial result is always tagged with *why* it is partial.
 //
 // Engines never throw or abort on exhaustion: they stop cleanly, keep the
@@ -46,10 +46,6 @@ enum class StopReason : uint8_t {
   kMemoryLimit,   // byte budget exceeded
   kCancelled,     // cooperative cancellation requested
 };
-
-/// Legacy name: the chase historically had its own stop enum; it is now
-/// the shared StopReason (`ChaseStop::kFixpoint` etc. keep compiling).
-using ChaseStop = StopReason;
 
 /// Renders a stop reason for logs and experiment output, e.g. "deadline".
 const char* ToString(StopReason stop);

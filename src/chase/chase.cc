@@ -395,15 +395,15 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
     InstallSpillPressureHandler();
     if (cap != 0) instance_.EvictToBudget(cap);
   }
-  if (state.done && state.stop_reason == ChaseStop::kFixpoint) {
+  if (state.done && state.stop_reason == StopReason::kFixpoint) {
     // A completed chase stays completed; there is nothing to resume.
     done_ = true;
-    stop_reason_ = ChaseStop::kFixpoint;
+    stop_reason_ = StopReason::kFixpoint;
   } else {
     // Re-open a resource-stopped (or mid-run) state: the next Step()
     // replays the interrupted round under the restored windows.
     done_ = false;
-    stop_reason_ = ChaseStop::kFixpoint;
+    stop_reason_ = StopReason::kFixpoint;
     replay_round_ = rounds_ > 0;
   }
 }
@@ -414,7 +414,8 @@ ChaseEngineState ChaseEngine::CaptureState() const {
   // spilled store by segment references plus a text remainder, an
   // in-core one as text).
   state.live = &instance_;
-  bool torn = rounds_ > 0 && !(done_ && stop_reason_ == ChaseStop::kFixpoint) &&
+  bool torn = rounds_ > 0 &&
+              !(done_ && stop_reason_ == StopReason::kFixpoint) &&
               InstanceGrewSinceRoundStart();
   uint64_t dropped_facts = 0;
   if (torn) {
@@ -763,7 +764,7 @@ bool ChaseEngine::Step() {
   }
   if (!any) {
     done_ = true;
-    stop_reason_ = ChaseStop::kFixpoint;
+    stop_reason_ = StopReason::kFixpoint;
   }
   return any;
 }
@@ -850,7 +851,7 @@ class RestrictedChaseEngine {
   const ChaseLimits& limits_;
   ResourceGovernor governor_;
   Instance instance_;
-  ChaseStop stop_reason_ = ChaseStop::kFixpoint;
+  StopReason stop_reason_ = StopReason::kFixpoint;
   uint64_t rounds_ = 0;
   uint64_t facts_created_ = 0;
 };

@@ -104,7 +104,7 @@ struct ChaseEngineState {
   std::vector<std::pair<RelationId, uint64_t>> rows_before_prev_round;
   std::vector<std::pair<RelationId, uint64_t>> rows_before_current_round;
   bool done = false;
-  ChaseStop stop_reason = ChaseStop::kFixpoint;
+  StopReason stop_reason = StopReason::kFixpoint;
   uint64_t rounds = 0;
   uint64_t facts_created = 0;
   /// Governor consumption already paid for (telemetry only on resume;
@@ -153,7 +153,7 @@ class ChaseEngine {
   Instance&& TakeInstance() { return std::move(instance_); }
 
   bool done() const { return done_; }
-  ChaseStop stop_reason() const { return stop_reason_; }
+  StopReason stop_reason() const { return stop_reason_; }
   uint64_t rounds() const { return rounds_; }
   uint64_t facts_created() const { return facts_created_; }
 
@@ -259,7 +259,7 @@ class ChaseEngine {
   std::unordered_map<RelationId, size_t> rows_before_prev_round_;
   std::unordered_map<RelationId, size_t> rows_before_current_round_;
   bool done_ = false;
-  ChaseStop stop_reason_ = ChaseStop::kFixpoint;
+  StopReason stop_reason_ = StopReason::kFixpoint;
   uint64_t rounds_ = 0;
   uint64_t facts_created_ = 0;
   /// Resume: the next Step() re-runs the round the captured engine was in
@@ -271,7 +271,7 @@ class ChaseEngine {
 
 struct ChaseResult {
   Instance instance;
-  ChaseStop stop_reason;
+  StopReason stop_reason;
   uint64_t rounds;
   uint64_t facts_created;
   /// Provenance: for each null index, the ground Skolem term it stands
@@ -281,7 +281,7 @@ struct ChaseResult {
   uint64_t budget_steps = 0;
   uint64_t budget_bytes = 0;
 
-  bool Terminated() const { return stop_reason == ChaseStop::kFixpoint; }
+  bool Terminated() const { return stop_reason == StopReason::kFixpoint; }
 
   /// Machine-readable outcome: Ok on fixpoint, ResourceExhausted with the
   /// stop reason otherwise (the instance is then a sound partial model).

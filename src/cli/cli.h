@@ -4,21 +4,8 @@
 // serve daemon shares); this layer binds them to the process: the
 // signal-driven global cancellation token, SIGPIPE handling, and the
 // `serve` subcommand that turns the process into a resident service.
-//
-// Commands:
-//   tgdkit classify  DEPS                 Figure 1 + Figure 2 membership
-//   tgdkit lint      DEPS                 static analysis diagnostics
-//   tgdkit chase     DEPS INSTANCE        chase to fixpoint/budget, print
-//   tgdkit check     DEPS INSTANCE        model-check each dependency
-//   tgdkit certain   DEPS INSTANCE QUERY  certain answers to a query
-//   tgdkit normalize DEPS                 Algorithm 1 + Algorithm 2 output
-//   tgdkit batch     MANIFEST             fault-isolated corpus sweep
-//   tgdkit serve     [--socket PATH]      resident reasoning service
-//
-// DEPS/INSTANCE are file paths in the formats of parse/parser.h; QUERY is
-// a Datalog-style query string. Options:
-//   --max-rounds N --max-facts N --max-depth N        chase caps
-//   --max-steps N --deadline-ms N --max-memory-mb N   resource budget
+// The commands and their flags are listed in the usage text (kUsage in
+// src/api/api.cc, printed by `tgdkit` with no arguments).
 #pragma once
 
 #include <ostream>

@@ -32,9 +32,9 @@ struct ExchangeResult {
   /// The materialized target instance (a universal solution when the
   /// chase terminated).
   Instance solution;
-  ChaseStop chase_stop;
+  StopReason chase_stop;
 
-  bool IsUniversal() const { return chase_stop == ChaseStop::kFixpoint; }
+  bool IsUniversal() const { return chase_stop == StopReason::kFixpoint; }
 };
 
 /// Materializes a solution for `source` under `mapping`: chases and keeps

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "analyze/analysis.h"
+#include "base/fileio.h"
 #include "base/strings.h"
 #include "chase/chase.h"
 #include "parse/parser.h"
@@ -593,7 +594,7 @@ class BatteryRunner {
           // The seeded durability defect: the checkpoint "survived" only
           // as a torn prefix, as if the writer had skipped the atomic
           // fsync+rename step.
-          Result<std::string> bytes = ReadWholeFile(run_.checkpoint_path);
+          Result<std::string> bytes = ReadFileBytes(run_.checkpoint_path);
           if (bytes.ok() && bytes->size() > 4) {
             std::ofstream torn(run_.checkpoint_path,
                                std::ios::binary | std::ios::trunc);
@@ -612,14 +613,6 @@ class BatteryRunner {
       }
     }
     return true;
-  }
-
-  static Result<std::string> ReadWholeFile(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound(Cat("cannot open ", path));
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   }
 
   const FuzzScenario& scenario_;

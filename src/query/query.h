@@ -39,12 +39,12 @@ struct CertainAnswers {
   /// Null-free answer tuples found in the chase result.
   std::vector<std::vector<Value>> answers;
   /// How the chase ended. Answers are sound regardless; they are complete
-  /// only when this is ChaseStop::kFixpoint.
-  ChaseStop chase_stop;
+  /// only when this is StopReason::kFixpoint.
+  StopReason chase_stop;
   uint64_t chase_rounds;
   uint64_t chase_facts;
 
-  bool Complete() const { return chase_stop == ChaseStop::kFixpoint; }
+  bool Complete() const { return chase_stop == StopReason::kFixpoint; }
 };
 
 /// The parts of `rules` that can derive a fact in one of `targets`: a part

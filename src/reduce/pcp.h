@@ -79,7 +79,7 @@ struct PcpChaseOutcome {
   bool solved = false;
   uint64_t rounds = 0;
   uint64_t facts = 0;
-  ChaseStop stop = ChaseStop::kFixpoint;
+  StopReason stop = StopReason::kFixpoint;
   /// Governor telemetry: chase steps taken and bytes observed.
   uint64_t budget_steps = 0;
   uint64_t budget_bytes = 0;
@@ -87,7 +87,7 @@ struct PcpChaseOutcome {
   /// Ok when the goal was reached or a true fixpoint proved it
   /// unreachable; ResourceExhausted when a budget cut the search short.
   Status ToStatus() const {
-    if (solved || stop == ChaseStop::kFixpoint) return Status::Ok();
+    if (solved || stop == StopReason::kFixpoint) return Status::Ok();
     return StopReasonToStatus(stop, "pcp semi-decision");
   }
 };

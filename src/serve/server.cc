@@ -838,72 +838,42 @@ Result<ServeSummary> RunServer(const ServeOptions& options,
 
 int RunServeCommand(const std::vector<std::string>& args, std::ostream& out,
                     std::ostream& err) {
+  using O = ServeOptions;
+  static const FlagTable<O> flags{"serve: unknown option ", {
+      {"--socket", [](O* o, const std::string& v) { o->socket_path = v; }},
+      {"--listen", [](O* o, uint64_t v) { o->tcp_port = static_cast<int>(v); },
+       0, 65535},
+      {"--serve-threads",
+       [](O* o, uint64_t v) { o->threads = static_cast<uint32_t>(v); }, 1,
+       256},
+      {"--max-inflight",
+       [](O* o, uint64_t v) { o->max_inflight = static_cast<uint32_t>(v); },
+       0, UINT32_MAX},
+      {"--max-commit-deadline-ms",
+       [](O* o, uint64_t v) { o->max_commit_deadline_ms = v; }},
+      {"--max-commit-memory-mb",
+       [](O* o, uint64_t v) { o->max_commit_memory_mb = v; }},
+      {"--default-deadline-ms",
+       [](O* o, uint64_t v) { o->default_deadline_ms = v; }},
+      {"--default-memory-mb",
+       [](O* o, uint64_t v) { o->default_memory_mb = v; }},
+      {"--hard-grace-ms", [](O* o, uint64_t v) { o->hard_grace_ms = v; }},
+      {"--max-frame-kb",
+       [](O* o, uint64_t v) { o->max_frame_bytes = v << 10; }, 1,
+       UINT64_MAX >> 10},
+      {"--quarantine-after",
+       [](O* o, uint64_t v) {
+         o->quarantine_after = static_cast<uint32_t>(v);
+       },
+       0, UINT32_MAX},
+      {"--ledger", [](O* o, const std::string& v) { o->ledger_path = v; }},
+      {"--worker", [](O* o, const std::string& v) { o->worker_binary = v; }},
+      {"--drain-ms", [](O* o, uint64_t v) { o->drain_ms = v; }},
+      {"--max-requests", [](O* o, uint64_t v) { o->max_requests = v; }},
+  }};
   ServeOptions options;
   options.shutdown = GlobalCancellationToken();
-  for (size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto numeric = [&](uint64_t* slot, uint64_t max = UINT64_MAX) {
-      return ParseNumericFlag(args, &i, max, slot, err);
-    };
-    auto pathval = [&](std::string* slot) {
-      if (i + 1 >= args.size()) {
-        err << "tgdkit: missing value for " << arg << "\n";
-        return false;
-      }
-      *slot = args[++i];
-      return !slot->empty();
-    };
-    uint64_t value = 0;
-    if (arg == "--socket") {
-      if (!pathval(&options.socket_path)) return kExitUsage;
-    } else if (arg == "--listen") {
-      if (!numeric(&value) || value > 65535) {
-        err << "tgdkit: --listen needs a port in [0, 65535]\n";
-        return kExitUsage;
-      }
-      options.tcp_port = static_cast<int>(value);
-    } else if (arg == "--serve-threads") {
-      if (!numeric(&value) || value == 0 || value > 256) {
-        err << "tgdkit: --serve-threads must be between 1 and 256\n";
-        return kExitUsage;
-      }
-      options.threads = static_cast<uint32_t>(value);
-    } else if (arg == "--max-inflight") {
-      if (!numeric(&value, UINT32_MAX)) return kExitUsage;
-      options.max_inflight = static_cast<uint32_t>(value);
-    } else if (arg == "--max-commit-deadline-ms") {
-      if (!numeric(&options.max_commit_deadline_ms)) return kExitUsage;
-    } else if (arg == "--max-commit-memory-mb") {
-      if (!numeric(&options.max_commit_memory_mb)) return kExitUsage;
-    } else if (arg == "--default-deadline-ms") {
-      if (!numeric(&options.default_deadline_ms)) return kExitUsage;
-    } else if (arg == "--default-memory-mb") {
-      if (!numeric(&options.default_memory_mb)) return kExitUsage;
-    } else if (arg == "--hard-grace-ms") {
-      if (!numeric(&options.hard_grace_ms)) return kExitUsage;
-    } else if (arg == "--max-frame-kb") {
-      if (!numeric(&value, UINT64_MAX >> 10)) return kExitUsage;
-      if (value == 0) {
-        err << "tgdkit: --max-frame-kb must be positive\n";
-        return kExitUsage;
-      }
-      options.max_frame_bytes = value << 10;
-    } else if (arg == "--quarantine-after") {
-      if (!numeric(&value, UINT32_MAX)) return kExitUsage;
-      options.quarantine_after = static_cast<uint32_t>(value);
-    } else if (arg == "--ledger") {
-      if (!pathval(&options.ledger_path)) return kExitUsage;
-    } else if (arg == "--worker") {
-      if (!pathval(&options.worker_binary)) return kExitUsage;
-    } else if (arg == "--drain-ms") {
-      if (!numeric(&options.drain_ms)) return kExitUsage;
-    } else if (arg == "--max-requests") {
-      if (!numeric(&options.max_requests)) return kExitUsage;
-    } else {
-      err << "tgdkit: serve: unknown option " << arg << "\n";
-      return kExitUsage;
-    }
-  }
+  if (!flags.Parse(args, &options, nullptr, err)) return kExitUsage;
   Result<ServeSummary> summary = RunServer(options, out, err);
   if (!summary.ok()) {
     err << "tgdkit: serve: " << summary.status().ToString() << "\n";

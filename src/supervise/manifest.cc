@@ -2,8 +2,10 @@
 
 #include <limits>
 
+#include "api/api.h"
 #include "base/fileio.h"
 #include "base/strings.h"
+#include "supervise/supervisor.h"
 
 namespace tgdkit {
 
@@ -53,62 +55,22 @@ Status Tokenize(std::string_view text, size_t line,
   return Status::Ok();
 }
 
-bool ParseU64(std::string_view value, uint64_t* out) {
-  if (value.empty()) return false;
-  uint64_t parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-    if (parsed > (std::numeric_limits<uint64_t>::max() - (c - '0')) / 10) {
-      return false;
-    }
-    parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
+/// Applies one `key=value` of a `batch` directive: the flag `--key` of
+/// batch's table with that value.
+Status ApplySetting(const std::string& token, size_t line,
+                    SupervisorOptions* settings) {
+  size_t eq = token.find('=');
+  if (eq == std::string::npos || eq == 0) {
+    return LineError(line, Cat("malformed batch setting '", token, "'"));
   }
-  *out = parsed;
-  return true;
-}
-
-/// Applies one `key=value` of a `batch` directive.
-Status ApplyDefault(BatchDefaults* defaults, std::string_view key,
-                    std::string_view value, size_t line) {
-  if (key == "accept-resource") {
-    if (value == "true" || value == "1") {
-      defaults->accept_resource = true;
-    } else if (value == "false" || value == "0") {
-      defaults->accept_resource = false;
-    } else {
-      return LineError(line, "accept-resource must be true or false");
-    }
-    return Status::Ok();
-  }
-  uint64_t parsed = 0;
-  if (!ParseU64(value, &parsed)) {
-    return LineError(line, Cat("invalid value '", value, "' for ", key));
-  }
-  if (key == "max-parallel") {
-    if (parsed == 0 || parsed > 256) {
-      return LineError(line, "max-parallel must be between 1 and 256");
-    }
-    defaults->max_parallel = parsed;
-  } else if (key == "retries") {
-    defaults->retries = parsed;
-  } else if (key == "backoff-ms") {
-    defaults->backoff_ms = parsed;
-  } else if (key == "backoff-cap-ms") {
-    defaults->backoff_cap_ms = parsed;
-  } else if (key == "grace-ms") {
-    defaults->grace_ms = parsed;
-  } else if (key == "task-deadline-ms") {
-    defaults->task_deadline_ms = parsed;
-  } else if (key == "escalate-factor") {
-    defaults->escalate_factor = parsed;
-  } else if (key == "checkpoint-every-steps") {
-    defaults->checkpoint_every_steps = parsed;
-  } else if (key == "checkpoint-every-ms") {
-    defaults->checkpoint_every_ms = parsed;
-  } else {
+  std::string key = token.substr(0, eq);
+  const Flag<SupervisorOptions>* flag = BatchFlags().Find(Cat("--", key));
+  if (flag == nullptr ||
+      std::holds_alternative<Flag<SupervisorOptions>::Text>(flag->store)) {
     return LineError(line, Cat("unknown batch setting '", key, "'"));
   }
-  return Status::Ok();
+  Status set = flag->Set(settings, token.substr(eq + 1));
+  return set.ok() ? set : LineError(line, set.message());
 }
 
 Status ParseTaskDirective(const std::vector<std::string>& tokens, size_t line,
@@ -159,7 +121,7 @@ Status ParseTaskDirective(const std::vector<std::string>& tokens, size_t line,
       continue;
     }
     uint64_t parsed = 0;
-    if (!ParseU64(value, &parsed)) {
+    if (!ParseNumericFlag(key, value, 0, UINT64_MAX, &parsed).ok()) {
       return LineError(line, Cat("invalid value in '", token, "'"));
     }
     if (key == "deadline-ms") {
@@ -213,7 +175,8 @@ bool IsValidTaskId(std::string_view id) {
   return true;
 }
 
-Result<Manifest> ParseManifest(std::string_view text) {
+Result<Manifest> ParseManifest(std::string_view text,
+                               SupervisorOptions* settings) {
   Manifest manifest;
   size_t line_number = 0;
   size_t pos = 0;
@@ -249,15 +212,7 @@ Result<Manifest> ParseManifest(std::string_view text) {
     }
     if (tokens[0] == "batch") {
       for (size_t i = 1; i < tokens.size(); ++i) {
-        size_t eq = tokens[i].find('=');
-        if (eq == std::string::npos || eq == 0) {
-          return LineError(first_line,
-                           Cat("malformed batch setting '", tokens[i], "'"));
-        }
-        TGDKIT_RETURN_IF_ERROR(ApplyDefault(&manifest.defaults,
-                                            tokens[i].substr(0, eq),
-                                            tokens[i].substr(eq + 1),
-                                            first_line));
+        TGDKIT_RETURN_IF_ERROR(ApplySetting(tokens[i], first_line, settings));
       }
     } else if (tokens[0] == "task") {
       ManifestTask task;
@@ -281,10 +236,11 @@ Result<Manifest> ParseManifest(std::string_view text) {
   return manifest;
 }
 
-Result<Manifest> LoadManifest(const std::string& path) {
+Result<Manifest> LoadManifest(const std::string& path,
+                              SupervisorOptions* settings) {
   Result<std::string> text = ReadFileBytes(path);
   if (!text.ok()) return text.status();
-  Result<Manifest> manifest = ParseManifest(*text);
+  Result<Manifest> manifest = ParseManifest(*text, settings);
   if (!manifest.ok()) {
     return Status::InvalidArgument(
         Cat(path, ": ", manifest.status().message()));
@@ -293,15 +249,8 @@ Result<Manifest> LoadManifest(const std::string& path) {
 }
 
 bool OptionTakesValue(std::string_view arg) {
-  // Mirrors ParseOptions in src/cli/cli.cc; --format/--fail-on also accept
-  // the one-token --opt=value form, which consumes no extra token.
-  return arg == "--max-rounds" || arg == "--max-facts" ||
-         arg == "--max-depth" || arg == "--max-steps" ||
-         arg == "--deadline-ms" || arg == "--max-memory-mb" ||
-         arg == "--seed" || arg == "--threads" || arg == "--checkpoint" ||
-         arg == "--checkpoint-every-steps" ||
-         arg == "--checkpoint-every-ms" || arg == "--resume" ||
-         arg == "--format" || arg == "--fail-on";
+  const Flag<EngineOptions>* flag = EngineFlags().Find(arg);
+  return flag != nullptr && flag->TakesValue();
 }
 
 std::vector<std::string> WithForcedOption(std::vector<std::string> args,
@@ -330,7 +279,9 @@ std::vector<std::string> WithScaledBudgets(std::vector<std::string> args,
       continue;
     }
     uint64_t value = 0;
-    if (!ParseU64(args[i + 1], &value)) continue;
+    if (!ParseNumericFlag(args[i], args[i + 1], 0, UINT64_MAX, &value).ok()) {
+      continue;
+    }
     uint64_t scaled = value;
     if (factor != 0 && value > std::numeric_limits<uint64_t>::max() / factor) {
       scaled = std::numeric_limits<uint64_t>::max();

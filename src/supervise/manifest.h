@@ -12,8 +12,9 @@
 // Each task is an ordinary tgdkit subcommand invocation (anything RunCli
 // accepts except `batch` itself), plus optional per-task attributes
 // (deadline-ms=, retries=) and environment variables for the worker
-// process. `batch` directives set run-wide defaults; command-line flags
-// of `tgdkit batch` override them.
+// process. A `batch` directive's `key=value` is the `tgdkit batch` flag
+// `--key` with that value (a switch takes true|false|1|0 here); flags on
+// the command line override it.
 //
 // This header also hosts the argv-rewriting helpers the supervisor's
 // retry/degradation policy applies between attempts: forcing --threads 1
@@ -31,21 +32,7 @@
 
 namespace tgdkit {
 
-/// Run-wide knobs a manifest `batch` directive may set. Unset fields fall
-/// back to the supervisor's built-in defaults unless a CLI flag overrides
-/// them (CLI > manifest > built-in).
-struct BatchDefaults {
-  std::optional<uint64_t> max_parallel;
-  std::optional<uint64_t> retries;
-  std::optional<uint64_t> backoff_ms;
-  std::optional<uint64_t> backoff_cap_ms;
-  std::optional<uint64_t> grace_ms;
-  std::optional<uint64_t> task_deadline_ms;
-  std::optional<uint64_t> escalate_factor;
-  std::optional<uint64_t> checkpoint_every_steps;
-  std::optional<uint64_t> checkpoint_every_ms;
-  std::optional<bool> accept_resource;
-};
+struct SupervisorOptions;
 
 /// One supervised task: a tgdkit subcommand invocation.
 struct ManifestTask {
@@ -69,25 +56,30 @@ struct ManifestTask {
 };
 
 struct Manifest {
-  BatchDefaults defaults;
   std::vector<ManifestTask> tasks;
 };
 
-/// Parses manifest text. InvalidArgument with a line number on malformed
-/// directives, duplicate or invalid task ids, or a `batch` task command.
-Result<Manifest> ParseManifest(std::string_view text);
+/// Parses manifest text and applies its `batch` settings to `*settings`,
+/// in order, through batch's flag table (BatchFlags). InvalidArgument
+/// with a line number on malformed directives or settings, duplicate or
+/// invalid task ids, or a `batch` task command. Only batch's number and
+/// switch flags are settings; its paths are not.
+Result<Manifest> ParseManifest(std::string_view text,
+                               SupervisorOptions* settings);
 
-/// Reads and parses a manifest file.
-Result<Manifest> LoadManifest(const std::string& path);
+/// Reads and parses a manifest file; a parse error names the file.
+Result<Manifest> LoadManifest(const std::string& path,
+                              SupervisorOptions* settings);
 
 /// True if task ids may use this string (1-64 chars of [A-Za-z0-9._-],
 /// not starting with '.' or '-'); ids become checkpoint/artifact file
 /// names, so the charset is deliberately narrow.
 bool IsValidTaskId(std::string_view id);
 
-/// True for tgdkit options that consume a separate value token
-/// (--max-steps, --checkpoint, ...). Needed to tell positionals from
-/// option values when rewriting a task argv.
+/// True for an engine-command option whose value is the next token
+/// (--max-steps, --checkpoint, --spill-dir, ...), as the engine commands'
+/// flag table (EngineFlags in api/api.h) parses it. Tells positionals
+/// from option values when rewriting a task argv.
 bool OptionTakesValue(std::string_view arg);
 
 /// Replaces the value of `option` in `args`, appending "option value" if

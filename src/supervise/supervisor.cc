@@ -695,39 +695,28 @@ Result<SupervisorReport> Supervisor::Run() {
 
 }  // namespace
 
-void ApplyManifestDefaults(const BatchDefaults& defaults,
-                           const SupervisorCliOverrides& cli_set,
-                           SupervisorOptions* options) {
-  if (!cli_set.max_parallel && defaults.max_parallel) {
-    options->max_parallel = *defaults.max_parallel;
-  }
-  if (!cli_set.retries && defaults.retries) {
-    options->retries = *defaults.retries;
-  }
-  if (!cli_set.backoff_ms && defaults.backoff_ms) {
-    options->backoff_ms = *defaults.backoff_ms;
-  }
-  if (!cli_set.backoff_cap_ms && defaults.backoff_cap_ms) {
-    options->backoff_cap_ms = *defaults.backoff_cap_ms;
-  }
-  if (!cli_set.grace_ms && defaults.grace_ms) {
-    options->grace_ms = *defaults.grace_ms;
-  }
-  if (!cli_set.task_deadline_ms && defaults.task_deadline_ms) {
-    options->task_deadline_ms = *defaults.task_deadline_ms;
-  }
-  if (!cli_set.escalate_factor && defaults.escalate_factor) {
-    options->escalate_factor = *defaults.escalate_factor;
-  }
-  if (!cli_set.checkpoint_every_steps && defaults.checkpoint_every_steps) {
-    options->checkpoint_every_steps = *defaults.checkpoint_every_steps;
-  }
-  if (!cli_set.checkpoint_every_ms && defaults.checkpoint_every_ms) {
-    options->checkpoint_every_ms = *defaults.checkpoint_every_ms;
-  }
-  if (!cli_set.accept_resource && defaults.accept_resource) {
-    options->accept_resource = *defaults.accept_resource;
-  }
+const FlagTable<SupervisorOptions>& BatchFlags() {
+  using O = SupervisorOptions;
+  static const FlagTable<O> table{"batch: unknown option ", {
+      {"--run-dir", [](O* o, const std::string& v) { o->run_dir = v; }},
+      {"--ledger", [](O* o, const std::string& v) { o->ledger_path = v; }},
+      {"--worker", [](O* o, const std::string& v) { o->worker_binary = v; }},
+      {"--max-parallel", [](O* o, uint64_t v) { o->max_parallel = v; }, 1,
+       256},
+      {"--retries", [](O* o, uint64_t v) { o->retries = v; }},
+      {"--backoff-ms", [](O* o, uint64_t v) { o->backoff_ms = v; }},
+      {"--backoff-cap-ms", [](O* o, uint64_t v) { o->backoff_cap_ms = v; }},
+      {"--grace-ms", [](O* o, uint64_t v) { o->grace_ms = v; }},
+      {"--task-deadline-ms",
+       [](O* o, uint64_t v) { o->task_deadline_ms = v; }},
+      {"--escalate-factor", [](O* o, uint64_t v) { o->escalate_factor = v; }},
+      {"--checkpoint-every-steps",
+       [](O* o, uint64_t v) { o->checkpoint_every_steps = v; }},
+      {"--checkpoint-every-ms",
+       [](O* o, uint64_t v) { o->checkpoint_every_ms = v; }},
+      {"--accept-resource", [](O* o, bool on) { o->accept_resource = on; }},
+  }};
+  return table;
 }
 
 int SupervisorReport::ExitCode() const {

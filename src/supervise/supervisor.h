@@ -29,6 +29,7 @@
 #include <ostream>
 #include <string>
 
+#include "api/flags.h"
 #include "base/budget.h"
 #include "base/status.h"
 #include "supervise/manifest.h"
@@ -36,7 +37,8 @@
 namespace tgdkit {
 
 /// Effective run options: built-in defaults, overridden by the manifest's
-/// `batch` directives, overridden by `tgdkit batch` command-line flags.
+/// `batch` settings, overridden by `tgdkit batch` command-line flags.
+/// BatchFlags() sets them.
 struct SupervisorOptions {
   std::string manifest_path;
   /// Artifact directory: per-task stdout/stderr/triage files plus the
@@ -69,23 +71,9 @@ struct SupervisorOptions {
   CancellationToken cancel;
 };
 
-/// Merges manifest defaults into `options` for every field the CLI did
-/// not explicitly set (`explicit_*` flags name the CLI-set fields).
-struct SupervisorCliOverrides {
-  bool max_parallel = false;
-  bool retries = false;
-  bool backoff_ms = false;
-  bool backoff_cap_ms = false;
-  bool grace_ms = false;
-  bool task_deadline_ms = false;
-  bool escalate_factor = false;
-  bool checkpoint_every_steps = false;
-  bool checkpoint_every_ms = false;
-  bool accept_resource = false;
-};
-void ApplyManifestDefaults(const BatchDefaults& defaults,
-                           const SupervisorCliOverrides& cli_set,
-                           SupervisorOptions* options);
+/// The flags of `tgdkit batch`. A manifest's `batch` settings are its
+/// number and switch rows (ParseManifest).
+const FlagTable<SupervisorOptions>& BatchFlags();
 
 struct SupervisorReport {
   uint64_t total = 0;

@@ -81,6 +81,7 @@ class BatchTest : public ::testing::Test {
 // Manifest parsing
 
 TEST_F(BatchTest, ManifestParsesDirectivesAttributesAndEnv) {
+  SupervisorOptions settings;
   Result<Manifest> parsed = ParseManifest(
       "# header comment\n"
       "batch max-parallel=4 retries=3 backoff-ms=50 accept-resource=true\n"
@@ -88,12 +89,13 @@ TEST_F(BatchTest, ManifestParsesDirectivesAttributesAndEnv) {
       "task quick : selftest --stdout-lines 1\n"
       "task slow deadline-ms=250 retries=0 env A=1 env B=x=y : \\\n"
       "  chase deps.tgd seed.inst --seed 7  // trailing comment\n"
-      "task quoted : lint \"a file.tgd\" --fail-on=note\n");
+      "task quoted : lint \"a file.tgd\" --fail-on=note\n",
+      &settings);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->defaults.max_parallel, 4u);
-  EXPECT_EQ(parsed->defaults.retries, 3u);
-  EXPECT_EQ(parsed->defaults.backoff_ms, 50u);
-  EXPECT_EQ(parsed->defaults.accept_resource, true);
+  EXPECT_EQ(settings.max_parallel, 4u);
+  EXPECT_EQ(settings.retries, 3u);
+  EXPECT_EQ(settings.backoff_ms, 50u);
+  EXPECT_EQ(settings.accept_resource, true);
   ASSERT_EQ(parsed->tasks.size(), 3u);
   const ManifestTask& slow = parsed->tasks[1];
   EXPECT_EQ(slow.id, "slow");
@@ -112,7 +114,8 @@ TEST_F(BatchTest, ManifestParsesDirectivesAttributesAndEnv) {
 
 TEST_F(BatchTest, ManifestRejectsMalformedInput) {
   auto expect_bad = [](const std::string& text, const std::string& needle) {
-    Result<Manifest> parsed = ParseManifest(text);
+    SupervisorOptions settings;
+    Result<Manifest> parsed = ParseManifest(text, &settings);
     ASSERT_FALSE(parsed.ok()) << text;
     EXPECT_NE(parsed.status().ToString().find(needle), std::string::npos)
         << parsed.status().ToString();
@@ -162,6 +165,14 @@ TEST_F(BatchTest, RewriteChaseForResumeDropsPositionalsKeepsOptions) {
   EXPECT_EQ(rewritten,
             (std::vector<std::string>{"chase", "--resume", "ck/t.snap",
                                       "--seed", "7", "--max-rounds", "9",
+                                      "--checkpoint", "ck/t.snap"}));
+  // Every option keeps its value, the spill options' included.
+  EXPECT_EQ(RewriteChaseForResume({"chase", "deps.tgd", "--spill-dir", "DIR",
+                                   "seed.inst", "--spill-segment-kb", "4"},
+                                  "ck/t.snap"),
+            (std::vector<std::string>{"chase", "--resume", "ck/t.snap",
+                                      "--spill-dir", "DIR",
+                                      "--spill-segment-kb", "4",
                                       "--checkpoint", "ck/t.snap"}));
 }
 
@@ -434,6 +445,71 @@ TEST_F(BatchTest, ResourceStopEscalatesOnceThenResumesFromCheckpoint) {
   EXPECT_TRUE(LoadChaseSnapshot(snap).ok());
 }
 
+TEST_F(BatchTest, SpilledStepStopEscalatesAndResumesWithItsSpillFlags) {
+  // tools/gen_spill_workload.py's input at 1,000 rows: column c of row r
+  // is digit c of r in base 128.
+  Write("spill.tgd",
+        "Big(x1, x2, x3, x4, x5, x6, x7, x8, x9) -> Want(x1) .\n");
+  std::string inst;
+  for (int row = 0; row < 1000; ++row) {
+    inst += "Big(";
+    for (int col = 0, x = row; col < 9; ++col, x /= 128) {
+      inst += (col == 0 ? "v" : ", v") + std::to_string(x % 128);
+    }
+    inst += ") .\n";
+  }
+  Write("spill.inst", inst);
+  ASSERT_TRUE(MakeDirectories(dir_ + "/segs").ok());
+  ASSERT_TRUE(MakeDirectories(dir_ + "/oneshot-segs").ok());
+  std::string manifest = Write(
+      "m.manifest",
+      "batch retries=2 backoff-ms=1 escalate-factor=4\n"
+      "task sp : chase " + dir_ + "/spill.tgd " + dir_ + "/spill.inst "
+      "--seed 7 --spill-dir " + dir_ + "/segs --max-memory-mb 2 "
+      "--spill-segment-kb 4 --max-steps 1000\n");
+  BatchRun run = RunBatchCli({}, manifest);
+  EXPECT_EQ(run.code, kExitOk) << run.out << run.err;
+
+  // The escalated retry resumes the spilled checkpoint with every option
+  // and its value: --spill-dir and --spill-segment-kb keep theirs.
+  bool saw_escalated_resume = false;
+  for (const LedgerRecord& record : MustLoadLedger(manifest)) {
+    if (record.kind != LedgerRecord::Kind::kAttempt) continue;
+    if (record.attempt.attempt == 1) {
+      EXPECT_EQ(record.attempt.outcome, AttemptOutcome::kResource);
+      EXPECT_NE(record.attempt.status_line.find("step-limit"),
+                std::string::npos)
+          << record.attempt.status_line;
+      EXPECT_NE(record.attempt.status_line.find("spill_segments="),
+                std::string::npos);
+    } else {
+      saw_escalated_resume = true;
+      EXPECT_TRUE(record.attempt.escalated);
+      EXPECT_TRUE(record.attempt.resumed);
+      EXPECT_EQ(record.attempt.outcome, AttemptOutcome::kOk);
+      EXPECT_NE(record.attempt.cmd.find(
+                    "--spill-dir " + dir_ + "/segs --max-memory-mb 8 "
+                    "--spill-segment-kb 4 --max-steps 4000"),
+                std::string::npos)
+          << record.attempt.cmd;
+    }
+  }
+  EXPECT_TRUE(saw_escalated_resume);
+
+  // The resumed task prints what one uninterrupted run prints.
+  std::vector<std::string> oneshot = {
+      "chase", dir_ + "/spill.tgd", dir_ + "/spill.inst", "--seed", "7",
+      "--spill-dir", dir_ + "/oneshot-segs", "--max-memory-mb", "2",
+      "--spill-segment-kb", "4"};
+  std::ostringstream golden, golden_err;
+  ASSERT_EQ(RunCli(oneshot, golden, golden_err), kExitOk)
+      << golden_err.str();
+  std::ifstream task_out(manifest + ".runs/sp.out");
+  std::string task_stdout((std::istreambuf_iterator<char>(task_out)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(task_stdout, golden.str());
+}
+
 TEST_F(BatchTest, AcceptResourceTreatsBudgetStopsAsCompleted) {
   Write("inf.tgd", "succ: N(x) -> exists y . N(y) & E(x, y) .\n");
   Write("seed.inst", "N(a) .\n");
@@ -506,16 +582,22 @@ TEST_F(BatchTest, CrashedParallelChaseDegradesResumesAndQuarantines) {
 }
 
 TEST_F(BatchTest, CliFlagsOverrideManifestDefaults) {
-  BatchDefaults defaults;
-  defaults.retries = 7;
-  defaults.max_parallel = 9;
-  SupervisorOptions options;
-  SupervisorCliOverrides cli_set;
-  cli_set.retries = true;
-  options.retries = 1;
-  ApplyManifestDefaults(defaults, cli_set, &options);
-  EXPECT_EQ(options.retries, 1u);      // CLI wins
-  EXPECT_EQ(options.max_parallel, 9u);  // manifest fills the gap
+  std::string manifest = Write(
+      "m.manifest",
+      "batch retries=7 backoff-ms=1 accept-resource=true\n"
+      "task res : selftest --die-exit 4\n"
+      "task crash : selftest --die-exit 5\n");
+  BatchRun run = RunBatchCli({"--retries", "0"}, manifest);
+  EXPECT_EQ(run.code, kExitVerdict) << run.out << run.err;
+  // The manifest fills what the command line leaves unset: the budget
+  // stop is accepted as a completed partial result.
+  EXPECT_NE(run.out.find("# task res: completed exit=4 attempts=1"),
+            std::string::npos)
+      << run.out;
+  // The command line's --retries 0 beats the manifest's retries=7.
+  EXPECT_NE(run.out.find("# task crash: quarantined after 1 attempt(s)"),
+            std::string::npos)
+      << run.out;
 }
 
 TEST_F(BatchTest, StreamHygieneStdoutIsMachineReadableDiagnosticsOnStderr) {
@@ -618,7 +700,8 @@ TEST_F(BatchTest, SupervisorShutdownCancelsWorkersAndStaysResumable) {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     options.cancel.Cancel();
   });
-  Result<Manifest> manifest_data = LoadManifest(manifest);
+  SupervisorOptions manifest_settings;
+  Result<Manifest> manifest_data = LoadManifest(manifest, &manifest_settings);
   ASSERT_TRUE(manifest_data.ok());
   std::ostringstream out, err;
   Result<SupervisorReport> report =
@@ -659,27 +742,30 @@ TEST_F(BatchTest, SupervisorShutdownCancelsWorkersAndStaysResumable) {
 // isolation=none: the in-process fast path
 
 TEST_F(BatchTest, ManifestParsesAndRestrictsIsolationAttribute) {
+  SupervisorOptions settings;
   Result<Manifest> parsed = ParseManifest(
       "task fast isolation=none : lint rules.tgd\n"
-      "task slow isolation=fork : chase rules.tgd seed.inst\n");
+      "task slow isolation=fork : chase rules.tgd seed.inst\n",
+      &settings);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed->tasks[0].in_process);
   EXPECT_FALSE(parsed->tasks[1].in_process);
 
   // Only cheap, read-only commands may opt out of fault isolation.
-  Result<Manifest> chase =
-      ParseManifest("task t isolation=none : chase d.tgd s.inst\n");
+  Result<Manifest> chase = ParseManifest(
+      "task t isolation=none : chase d.tgd s.inst\n", &settings);
   ASSERT_FALSE(chase.ok());
   EXPECT_NE(chase.status().ToString().find("isolation=none"),
             std::string::npos);
   // env needs a worker process to scope the variables to.
   Result<Manifest> env = ParseManifest(
-      "task t isolation=none env A=1 : lint d.tgd\n");
+      "task t isolation=none env A=1 : lint d.tgd\n", &settings);
   ASSERT_FALSE(env.ok());
   EXPECT_NE(env.status().ToString().find("env"), std::string::npos);
   // And the value set is closed.
   EXPECT_FALSE(
-      ParseManifest("task t isolation=maybe : lint d.tgd\n").ok());
+      ParseManifest("task t isolation=maybe : lint d.tgd\n", &settings)
+          .ok());
 }
 
 TEST_F(BatchTest, InProcessTasksRunWhileForkedCrashStaysContained) {

@@ -98,7 +98,7 @@ TEST_F(ChaseTest, FiringIsIdempotent) {
   EXPECT_TRUE(engine.Step());
   EXPECT_FALSE(engine.Step());  // same trigger produces the same null
   EXPECT_TRUE(engine.done());
-  EXPECT_EQ(engine.stop_reason(), ChaseStop::kFixpoint);
+  EXPECT_EQ(engine.stop_reason(), StopReason::kFixpoint);
 }
 
 TEST_F(ChaseTest, TransitiveClosureFullTgd) {
@@ -136,7 +136,7 @@ TEST_F(ChaseTest, NonTerminatingChaseHitsDepthLimit) {
   limits.max_term_depth = 10;
   ChaseResult result = Chase(&ws_.arena, &ws_.vocab, so, input, limits);
   EXPECT_FALSE(result.Terminated());
-  EXPECT_EQ(result.stop_reason, ChaseStop::kDepthLimit);
+  EXPECT_EQ(result.stop_reason, StopReason::kDepthLimit);
   RelationId pr = ws_.vocab.FindRelation("P");
   EXPECT_GE(result.instance.NumTuples(pr), 10u);
 }
@@ -156,7 +156,7 @@ TEST_F(ChaseTest, SharedSubtermTowerStopsAtDefaultDepthLimit) {
   input.AddFact(ws_.Fc("R", {"a", "b"}));
 
   ChaseResult result = Chase(&ws_.arena, &ws_.vocab, so, input);
-  EXPECT_EQ(result.stop_reason, ChaseStop::kDepthLimit);
+  EXPECT_EQ(result.stop_reason, StopReason::kDepthLimit);
   EXPECT_EQ(result.rounds, 257u);
   EXPECT_EQ(result.facts_created, 256u);
 }
@@ -174,7 +174,7 @@ TEST_F(ChaseTest, FactLimitStopsChase) {
   ChaseLimits limits;
   limits.max_facts = 5;
   ChaseResult result = Chase(&ws_.arena, &ws_.vocab, so, input, limits);
-  EXPECT_EQ(result.stop_reason, ChaseStop::kFactLimit);
+  EXPECT_EQ(result.stop_reason, StopReason::kFactLimit);
   EXPECT_LE(result.instance.NumFacts(), 5u);
 }
 

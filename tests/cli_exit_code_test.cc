@@ -81,6 +81,23 @@ TEST(ExitCodeTest, UsageErrorsExitOne) {
             kExitUsage);
   EXPECT_EQ(RunTool({"batch", "--not-an-option", "m"}).code, kExitUsage);
   EXPECT_EQ(RunTool({"batch"}).code, kExitUsage);
+  // An empty value is refused by name, whatever the command.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"batch", "--run-dir", "", "/nonexistent/m"},
+        std::vector<std::string>{"fuzz", "--corpus-dir", ""},
+        std::vector<std::string>{"serve", "--socket", ""}}) {
+    CliRun empty = RunTool(args);
+    EXPECT_EQ(empty.code, kExitUsage) << args[0];
+    EXPECT_NE(empty.err.find(args[1]), std::string::npos) << empty.err;
+  }
+  // batch --max-parallel takes the manifest's bounds, 1-256; the
+  // missing manifest would exit 2.
+  EXPECT_EQ(
+      RunTool({"batch", "--max-parallel", "0", "/nonexistent/m"}).code,
+      kExitUsage);
+  EXPECT_EQ(
+      RunTool({"batch", "--max-parallel", "257", "/nonexistent/m"}).code,
+      kExitUsage);
   // Values whose scaled or narrowed form would wrap around: 2^44 MiB,
   // 2^32, 2^54 KiB. The largest value that fits still parses (the
   // missing input files then exit 2).

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -215,6 +216,36 @@ TEST(CliTest, BadQuerySyntaxReported) {
   CliRun run = RunTool({"certain", deps.path(), inst.path(), "not a query"});
   EXPECT_EQ(run.code, 2);
   EXPECT_NE(run.err.find("query"), std::string::npos);
+}
+
+TEST(CliTest, AFileNamedLikeTheCommandIsItsInput) {
+  // `lint lint` lints the file named lint: only the tokens after the
+  // command word are its inputs. The files sit in a scratch working
+  // directory, so the input token equals the command word.
+  std::filesystem::path home = std::filesystem::current_path();
+  std::filesystem::path dir = testing::TempDir() + "/tgdkit_cli_named_" +
+                              std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  std::filesystem::current_path(dir);
+  const char* program = "bad : E(x, y) & E(y, z) -> exists w . E(z, w) .\n";
+  for (const std::string command : {"lint", "classify"}) {
+    std::ofstream(command) << program;
+    std::ofstream("other.tgd") << program;
+    CliRun named = RunTool({command, command});
+    CliRun other = RunTool({command, "other.tgd"});
+    EXPECT_EQ(named.code, 0) << command << ": " << named.err;
+    EXPECT_EQ(other.code, 0) << command << ": " << other.err;
+    // Lint names the file in each finding.
+    std::string expected = other.out;
+    for (size_t at = expected.find("other.tgd"); at != std::string::npos;
+         at = expected.find("other.tgd", at + command.size())) {
+      expected.replace(at, 9, command);
+    }
+    EXPECT_FALSE(named.out.empty()) << command;
+    EXPECT_EQ(named.out, expected) << command;
+  }
+  std::filesystem::current_path(home);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, BadDependencySyntaxReported) {

@@ -74,7 +74,7 @@ struct RunOutcome {
   uint64_t rounds = 0;
   uint64_t facts = 0;
   uint64_t steps = 0;
-  ChaseStop stop = ChaseStop::kFixpoint;
+  StopReason stop = StopReason::kFixpoint;
   std::string final_snapshot;
   /// Periodic checkpoint stream: serialized bytes of every hook firing.
   std::vector<std::string> checkpoints;
@@ -125,7 +125,7 @@ void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b,
 
 TEST(ParallelDeterminismTest, SkolemFixpointIdenticalAcrossThreadCounts) {
   RunOutcome serial = RunSkolem(1, 40, 0, 0);
-  ASSERT_EQ(serial.stop, ChaseStop::kFixpoint);
+  ASSERT_EQ(serial.stop, StopReason::kFixpoint);
   ASSERT_GT(serial.facts, 700u);  // big enough to span many slices
   for (uint32_t threads : {2u, 3u, 4u, 8u}) {
     RunOutcome parallel = RunSkolem(threads, 40, 0, 0);
@@ -150,7 +150,7 @@ TEST(ParallelDeterminismTest, StepLimitStopsAtIdenticalState) {
   // A deterministic budget (max_steps) must trip at the same trigger for
   // every lane count: budgets are only charged at the serial merge.
   RunOutcome serial = RunSkolem(1, 40, 900, 0);
-  ASSERT_EQ(serial.stop, ChaseStop::kStepLimit);
+  ASSERT_EQ(serial.stop, StopReason::kStepLimit);
   for (uint32_t threads : {2u, 4u}) {
     RunOutcome parallel = RunSkolem(threads, 40, 900, 0);
     ExpectSameOutcome(serial, parallel,
@@ -165,7 +165,7 @@ TEST(ParallelDeterminismTest, ParallelStateResumesUnderAnyThreadCount) {
   const std::vector<std::pair<uint32_t, uint32_t>> legs = {{4, 1}, {1, 4}};
   for (auto [capture_threads, resume_threads] : legs) {
     RunOutcome partial = RunSkolem(capture_threads, 24, 300, 0);
-    ASSERT_EQ(partial.stop, ChaseStop::kStepLimit);
+    ASSERT_EQ(partial.stop, StopReason::kStepLimit);
     Result<ChaseSnapshot> loaded = ParseChaseSnapshot(partial.final_snapshot);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ChaseSnapshot snap = std::move(*loaded);
@@ -176,7 +176,7 @@ TEST(ParallelDeterminismTest, ParallelStateResumesUnderAnyThreadCount) {
     engine.Run();
     std::string label = "capture=" + std::to_string(capture_threads) +
                         " resume=" + std::to_string(resume_threads);
-    EXPECT_EQ(engine.stop_reason(), ChaseStop::kFixpoint) << label;
+    EXPECT_EQ(engine.stop_reason(), StopReason::kFixpoint) << label;
     EXPECT_EQ(engine.instance().ToExactText(), golden.exact_text) << label;
     EXPECT_EQ(engine.rounds(), golden.rounds) << label;
     EXPECT_EQ(engine.facts_created(), golden.facts) << label;

@@ -80,7 +80,7 @@ TEST(ParallelStressTest, ExternalCancellationStopsParallelRound) {
   engine.Run();
   canceller.join();
   EXPECT_TRUE(engine.done());
-  EXPECT_EQ(engine.stop_reason(), ChaseStop::kCancelled);
+  EXPECT_EQ(engine.stop_reason(), StopReason::kCancelled);
   EXPECT_GT(engine.facts_created(), 0u);
 }
 
@@ -97,7 +97,7 @@ TEST(ParallelStressTest, DeadlineAbortsWorkersMidRound) {
   ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
   engine.Run();
   EXPECT_TRUE(engine.done());
-  EXPECT_EQ(engine.stop_reason(), ChaseStop::kDeadline);
+  EXPECT_EQ(engine.stop_reason(), StopReason::kDeadline);
 }
 
 TEST(ParallelStressTest, MemoryBudgetStopsParallelRun) {
@@ -115,7 +115,7 @@ TEST(ParallelStressTest, MemoryBudgetStopsParallelRun) {
     ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
     engine.Run();
     EXPECT_TRUE(engine.done());
-    EXPECT_EQ(engine.stop_reason(), ChaseStop::kMemoryLimit);
+    EXPECT_EQ(engine.stop_reason(), StopReason::kMemoryLimit);
     return engine.instance().ToExactText();
   };
   std::string serial = run(1);
@@ -136,7 +136,7 @@ TEST(ParallelStressTest, RepeatedParallelRunsAreJitterFree) {
     limits.threads = 4;
     ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
     engine.Run();
-    EXPECT_EQ(engine.stop_reason(), ChaseStop::kFixpoint);
+    EXPECT_EQ(engine.stop_reason(), StopReason::kFixpoint);
     return std::make_pair(engine.instance().ToExactText(),
                           engine.governor().total_steps());
   };

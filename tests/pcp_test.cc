@@ -142,7 +142,7 @@ TEST_F(PcpEncodingTest, ChaseDoesNotSolveUnsolvableInstance) {
   EXPECT_FALSE(outcome.solved);
   // The chase keeps growing (undecidability in action): it stopped on a
   // budget, not at a fixpoint.
-  EXPECT_NE(outcome.stop, ChaseStop::kFixpoint);
+  EXPECT_NE(outcome.stop, StopReason::kFixpoint);
   EXPECT_FALSE(SolvePcp(pcp, 12).has_value());  // oracle agrees
 }
 

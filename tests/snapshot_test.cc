@@ -67,7 +67,7 @@ GoldenRun GoldenChase(int nodes) {
   Instance input = PathInstance(&ws, nodes);
   ChaseEngine engine(&ws.arena, &ws.vocab, so, input);
   engine.Run();
-  EXPECT_EQ(engine.stop_reason(), ChaseStop::kFixpoint);
+  EXPECT_EQ(engine.stop_reason(), StopReason::kFixpoint);
   return {engine.instance().ToString(), engine.rounds(),
           engine.facts_created()};
 }
@@ -80,7 +80,7 @@ TEST(SnapshotTest, ChaseSerializeParseRoundTrip) {
   limits.budget.max_steps = 40;
   ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
   engine.Run();
-  ASSERT_NE(engine.stop_reason(), ChaseStop::kFixpoint);
+  ASSERT_NE(engine.stop_reason(), StopReason::kFixpoint);
 
   ChaseEngineState state = engine.CaptureState();
   std::string bytes = SerializeChaseSnapshot(ws.vocab, ws.arena, so, state,
@@ -127,7 +127,7 @@ TEST(SnapshotTest, ChaseResumeAfterBudgetStopIsBitIdentical) {
     ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
     engine.Run();
     ASSERT_EQ(engine.stop_reason(),
-              torn ? ChaseStop::kFactLimit : ChaseStop::kStepLimit)
+              torn ? StopReason::kFactLimit : StopReason::kStepLimit)
         << label;
 
     ChaseEngineState state = engine.CaptureState();
@@ -139,7 +139,7 @@ TEST(SnapshotTest, ChaseResumeAfterBudgetStopIsBitIdentical) {
     ChaseEngine resumed(snap->arena.get(), snap->vocab.get(), snap->rules,
                         std::move(*snap->state), ChaseLimits{});
     resumed.Run();
-    EXPECT_EQ(resumed.stop_reason(), ChaseStop::kFixpoint) << label;
+    EXPECT_EQ(resumed.stop_reason(), StopReason::kFixpoint) << label;
     EXPECT_EQ(resumed.instance().ToString(), golden.text) << label;
     EXPECT_EQ(resumed.rounds(), golden.rounds) << label;
     EXPECT_EQ(resumed.facts_created(), golden.facts_created) << label;
@@ -172,7 +172,7 @@ TEST(SnapshotTest, ChasePeriodicCheckpointsAllResumeBitIdentical) {
     ChaseEngine resumed(snap->arena.get(), snap->vocab.get(), snap->rules,
                         std::move(*snap->state), ChaseLimits{});
     resumed.Run();
-    EXPECT_EQ(resumed.stop_reason(), ChaseStop::kFixpoint);
+    EXPECT_EQ(resumed.stop_reason(), StopReason::kFixpoint);
     EXPECT_EQ(resumed.instance().ToString(), golden.text);
     EXPECT_EQ(resumed.rounds(), golden.rounds);
     EXPECT_EQ(resumed.facts_created(), golden.facts_created);
@@ -189,7 +189,7 @@ TEST(SnapshotTest, GovernorDoesNotRechargeRestoredConsumptionOnResume) {
   limits.budget.max_steps = 3000;
   ChaseEngine engine(&ws.arena, &ws.vocab, so, input, limits);
   engine.Run();
-  ASSERT_EQ(engine.stop_reason(), ChaseStop::kStepLimit);
+  ASSERT_EQ(engine.stop_reason(), StopReason::kStepLimit);
   uint64_t consumed = engine.governor().total_steps();
   ASSERT_GE(consumed, 3000u);
 
@@ -205,7 +205,7 @@ TEST(SnapshotTest, GovernorDoesNotRechargeRestoredConsumptionOnResume) {
   ChaseEngine resumed(snap->arena.get(), snap->vocab.get(), snap->rules,
                       std::move(*snap->state), limits);
   resumed.Run();
-  ASSERT_EQ(resumed.stop_reason(), ChaseStop::kStepLimit);
+  ASSERT_EQ(resumed.stop_reason(), StopReason::kStepLimit);
   // Lifetime telemetry keeps counting across legs...
   EXPECT_GE(resumed.governor().total_steps(), consumed + 2500);
   // ...and the serialized consumption matches what a further resume
